@@ -9,6 +9,7 @@
 //! sample per completion, so those reconcile exactly too (both are
 //! enforced by test).
 
+use ne_crypto::Sha256;
 use ne_host::server::HostServer;
 
 use crate::slo::{self, SloPolicy};
@@ -344,9 +345,9 @@ impl Sampler {
                 .filter(|r| r.tenant == l)
                 .collect();
             replies.sort_by_key(|r| (r.service, r.seq));
-            let mut bytes = Vec::new();
+            let mut all = Sha256::new();
             for r in &replies {
-                push_reply(&mut bytes, r);
+                hash_reply(&mut all, r);
             }
             self.timeline.totals.push(TenantTotal {
                 tenant: self.globals[l],
@@ -355,24 +356,26 @@ impl Sampler {
                 shed: c.shed - b.shed,
                 rejected: c.rejected - b.rejected,
                 respawns: c.respawns - b.respawns,
-                digest: ne_crypto::sha256_digest(&bytes),
+                digest: all.finalize(),
             });
 
             // Rolling checkpoints per service: digest over the first
-            // k * checkpoint_every replies in seq order.
+            // k * checkpoint_every replies in seq order. One running
+            // hash per service, finalized on a copy at each checkpoint,
+            // keeps this linear in the reply count.
             let services = server.tenants()[l].spec.services.len();
             for s in 0..services {
-                let mut bytes = Vec::new();
+                let mut h = Sha256::new();
                 let mut n = 0u64;
                 for r in replies.iter().filter(|r| r.service == s) {
-                    push_reply(&mut bytes, r);
+                    hash_reply(&mut h, r);
                     n += 1;
                     if n.is_multiple_of(self.cfg.checkpoint_every) {
                         self.timeline.checkpoints.push(Checkpoint {
                             tenant: self.globals[l],
                             service: s,
                             completions: n,
-                            digest: ne_crypto::sha256_digest(&bytes),
+                            digest: h.clone().finalize(),
                         });
                     }
                 }
@@ -391,11 +394,12 @@ impl Sampler {
     }
 }
 
-fn push_reply(bytes: &mut Vec<u8>, c: &ne_host::Completion) {
-    bytes.extend_from_slice(&(c.service as u32).to_le_bytes());
-    bytes.extend_from_slice(&c.seq.to_le_bytes());
-    bytes.extend_from_slice(&(c.reply.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&c.reply);
+/// Absorbs one reply in the packed `ne-tenants/v1` digest layout.
+fn hash_reply(h: &mut Sha256, c: &ne_host::Completion) {
+    h.update(&(c.service as u32).to_le_bytes());
+    h.update(&c.seq.to_le_bytes());
+    h.update(&(c.reply.len() as u32).to_le_bytes());
+    h.update(&c.reply);
 }
 
 /// Field-wise `cur - prev` for the cumulative transition counters.
@@ -415,5 +419,81 @@ fn stats_delta(cur: &ne_sgx::trace::Stats, prev: &ne_sgx::trace::Stats) -> ne_sg
         ipis: cur.ipis - prev.ipis,
         span_opens: cur.span_opens - prev.span_opens,
         span_closes: cur.span_closes - prev.span_closes,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ne_host::{Completion, HostConfig, RequestFactory, ServiceKind, TenantSpec};
+
+    /// The `ne-tenants/v1` reply packing, written out independently of
+    /// the sampler's streaming hash.
+    fn pack(replies: &[&Completion]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for c in replies {
+            out.extend_from_slice(&(c.service as u32).to_le_bytes());
+            out.extend_from_slice(&c.seq.to_le_bytes());
+            out.extend_from_slice(&(c.reply.len() as u32).to_le_bytes());
+            out.extend_from_slice(&c.reply);
+        }
+        out
+    }
+
+    #[test]
+    fn checkpoints_digest_each_reply_prefix() {
+        const EVERY: u64 = 3;
+        let kinds = vec![ServiceKind::TlsEcho, ServiceKind::SvmInfer];
+        let specs = (0..2)
+            .map(|i| TenantSpec::new(&format!("tenant{i}"), 1, kinds.clone()))
+            .collect();
+        let mut server = HostServer::build(HostConfig::new(specs)).expect("host build");
+        let cfg = SamplerConfig {
+            checkpoint_every: EVERY,
+            ..SamplerConfig::default()
+        };
+        let mut sampler = Sampler::new(&server, vec![0, 1], cfg);
+        let base = server.completions().len();
+        for t in 0..2 {
+            for (s, &kind) in kinds.iter().enumerate() {
+                let mut factory = RequestFactory::new(kind, t, 7);
+                for _ in 0..10 {
+                    let payload = factory.next_request();
+                    assert!(server.submit(t, s, server.now(), payload).is_accepted());
+                    server.step().expect("step");
+                    sampler.poll(&server);
+                }
+            }
+        }
+        server.drain().expect("drain");
+        let timeline = sampler.finish(&server);
+
+        let mut expected = Vec::new();
+        for t in 0..2 {
+            let mut mine: Vec<&Completion> = server.completions()[base..]
+                .iter()
+                .filter(|c| c.tenant == t)
+                .collect();
+            mine.sort_by_key(|c| (c.service, c.seq));
+            assert_eq!(
+                timeline.totals[t].digest,
+                ne_crypto::sha256_digest(&pack(&mine))
+            );
+            for s in 0..kinds.len() {
+                let replies: Vec<&Completion> =
+                    mine.iter().copied().filter(|c| c.service == s).collect();
+                for n in (EVERY as usize..=replies.len()).step_by(EVERY as usize) {
+                    let digest = ne_crypto::sha256_digest(&pack(&replies[..n]));
+                    expected.push((t, s, n as u64, digest));
+                }
+            }
+        }
+        let got: Vec<_> = timeline
+            .checkpoints
+            .iter()
+            .map(|c| (c.tenant, c.service, c.completions, c.digest))
+            .collect();
+        assert_eq!(expected.len(), 2 * kinds.len() * 3, "10 replies per pair");
+        assert_eq!(got, expected);
     }
 }
