@@ -471,6 +471,7 @@ fn run_connect(addr: String) {
 
 fn main() {
     if let Some(addr) = flag_str("--connect") {
+        eprintln!("crypto backend: {}", ne_crypto::backend());
         run_connect(addr);
         return;
     }
@@ -488,6 +489,9 @@ fn main() {
     // simulator's memory pipeline (via `HwConfig::reference_path`) and the
     // bit/byte-wise crypto primitives. Outputs are identical either way.
     ne_crypto::set_reference_impl(plan.reference);
+    // On stderr, so the byte-compared stdout and exports stay the same on
+    // every CPU.
+    eprintln!("crypto backend: {}", ne_crypto::backend());
     if let Some(spec) = flag_str("--migrate") {
         let dash = std::env::args().any(|a| a == "--dash");
         let obs = (dash || timeline_out_path().is_some()).then(|| SamplerConfig {

@@ -302,6 +302,9 @@ fn main() {
         s.parse::<f64>()
             .unwrap_or_else(|e| panic!("--min-shard-speedup {s}: {e}"))
     });
+    // On stderr, so the byte-compared stdout and exports stay the same on
+    // every CPU.
+    eprintln!("crypto backend: {}", ne_crypto::backend());
     banner(&format!(
         "Wall-clock: optimized vs reference paths \
          ({requests} req/client closed loop, {messages} echo messages, best of {repeat}{})",

@@ -8,6 +8,12 @@
 //! benches put the previous byte-wise rounds at the top of the wall-clock
 //! ledger; the table form computes the identical permutation (the tests
 //! check it against a byte-wise reference round).
+//!
+//! Where the CPU has AES-NI the rounds run in hardware instead
+//! (`crate::aes_ni`); the table rounds are the portable fallback. Which
+//! one runs is [`crate::Backend::current`], read once per call.
+
+use crate::Backend;
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -65,47 +71,98 @@ const fn build_te0() -> [u32; 256] {
 /// aes.encrypt_block(&mut block);
 /// assert_ne!(block, [0u8; 16]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Aes128 {
     /// Round keys, one big-endian word per column.
     rk: [[u32; 4]; 11],
 }
 
+/// Prints no key material: only the type and the backend in use.
+impl std::fmt::Debug for Aes128 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Aes128")
+            .field("backend", &crate::backend())
+            .finish_non_exhaustive()
+    }
+}
+
 impl Aes128 {
-    /// Expands `key` into the 11 round keys.
+    /// Expands `key` into the 11 round keys (FIPS-197 § 5.2), one
+    /// big-endian word at a time.
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut w = [[0u8; 4]; 44];
-        for i in 0..4 {
-            w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
+        let sub_word = |w: u32| u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]));
+        let mut w = [0u32; 44];
+        for (i, word) in key.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
         }
         for i in 4..44 {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp = [
-                    SBOX[temp[1] as usize] ^ RCON[i / 4 - 1],
-                    SBOX[temp[2] as usize],
-                    SBOX[temp[3] as usize],
-                    SBOX[temp[0] as usize],
-                ];
+                temp = sub_word(temp.rotate_left(8)) ^ ((RCON[i / 4 - 1] as u32) << 24);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
+            w[i] = w[i - 4] ^ temp;
         }
         let mut rk = [[0u32; 4]; 11];
-        for r in 0..11 {
-            for c in 0..4 {
-                rk[r][c] = u32::from_be_bytes(w[4 * r + c]);
-            }
+        for (r, round) in rk.iter_mut().enumerate() {
+            round.copy_from_slice(&w[4 * r..4 * r + 4]);
         }
         Aes128 { rk }
     }
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        if crate::reference_impl() {
-            return self.encrypt_block_reference(block);
+        self.encrypt_block_with(Backend::current(), block);
+    }
+
+    /// [`Aes128::encrypt_block`] on a chosen backend, for the differential
+    /// tests.
+    #[doc(hidden)]
+    pub fn encrypt_block_with(&self, backend: Backend, block: &mut [u8; 16]) {
+        match backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hardware(cpu) => crate::aes_ni::encrypt_block(cpu, &self.rk, block),
+            #[cfg(not(target_arch = "x86_64"))]
+            Backend::Hardware(_) => unreachable!("Cpu::detect is None off x86-64"),
+            Backend::Table => self.encrypt_block_table(block),
+            Backend::Reference => self.encrypt_block_reference(block),
         }
+    }
+
+    /// XORs the CTR keystream `E_K(nonce || be32(ctr0 + i))` into `data`,
+    /// for [`crate::gcm`]. The hardware backend runs the whole buffer in
+    /// one featured loop; the others go block by block.
+    pub(crate) fn ctr_xor_with(
+        &self,
+        backend: Backend,
+        nonce: &[u8; 12],
+        ctr0: u32,
+        data: &mut [u8],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if let Backend::Hardware(cpu) = backend {
+            return crate::aes_ni::ctr_xor(cpu, &self.rk, nonce, ctr0, data);
+        }
+        let mut counter = ctr0;
+        for chunk in data.chunks_mut(16) {
+            let mut block = [0u8; 16];
+            block[..12].copy_from_slice(nonce);
+            block[12..].copy_from_slice(&counter.to_be_bytes());
+            self.encrypt_block_with(backend, &mut block);
+            for (b, k) in chunk.iter_mut().zip(block.iter()) {
+                *b ^= k;
+            }
+            counter = counter.wrapping_add(1);
+        }
+    }
+
+    /// The round keys, for the tests that check `Debug` hides them.
+    #[cfg(test)]
+    pub(crate) fn round_keys(&self) -> &[[u32; 4]; 11] {
+        &self.rk
+    }
+
+    /// The T-table rounds.
+    fn encrypt_block_table(&self, block: &mut [u8; 16]) {
         // State as one big-endian word per column; byte r of word c is the
         // state byte at row r, column c.
         let mut w = [0u32; 4];
@@ -143,7 +200,7 @@ impl Aes128 {
     /// The byte-wise FIPS-197 rounds the T-table form was derived from:
     /// SubBytes, ShiftRows and MixColumns as separate per-byte passes.
     /// Selected by [`crate::set_reference_impl`] so the wall-clock harness
-    /// can price the table rewrite; the tests check both forms compute the
+    /// can price the fast forms; the tests check all forms compute the
     /// same permutation.
     fn encrypt_block_reference(&self, block: &mut [u8; 16]) {
         let round_key = |r: usize| -> [u8; 16] {
@@ -260,6 +317,20 @@ mod tests {
     }
 
     #[test]
+    fn debug_prints_no_round_keys() {
+        let aes = Aes128::new(&[0x2b; 16]);
+        let printed = format!("{aes:?} {aes:#?}");
+        for word in aes.rk.iter().flatten() {
+            assert!(!printed.contains(&format!("{word:08x}")), "{printed}");
+            assert!(!printed.contains(&word.to_string()), "{printed}");
+        }
+        assert_eq!(
+            format!("{aes:?}"),
+            format!("Aes128 {{ backend: {:?}, .. }}", crate::backend())
+        );
+    }
+
+    #[test]
     fn table_rounds_match_bytewise_reference() {
         // Deterministic pseudorandom keys and blocks (xorshift).
         let mut s = 0x9e3779b97f4a7c15u64;
@@ -278,7 +349,7 @@ mod tests {
             block[8..].copy_from_slice(&next().to_le_bytes());
             let aes = Aes128::new(&key);
             let mut fast = block;
-            aes.encrypt_block(&mut fast);
+            aes.encrypt_block_table(&mut fast);
             let mut slow = block;
             aes.encrypt_block_reference(&mut slow);
             assert_eq!(fast, slow, "key {key:02x?} block {block:02x?}");

@@ -4,9 +4,15 @@
 //! authenticated-encryption baseline that monolithic enclaves must run to
 //! communicate through untrusted memory. Nested enclaves avoid it by
 //! communicating through the MEE-protected outer enclave instead.
+//!
+//! GHASH has three forms, one per [`Backend`]: PCLMULQDQ
+//! (`crate::ghash_clmul`), Shoup's 8-bit tables, and the bit-wise
+//! `gf_mult` both were checked against.
 
 use crate::aes::Aes128;
 use crate::ct::ct_eq;
+use crate::Backend;
+use std::sync::OnceLock;
 
 /// Error returned by [`AesGcm::open`] when the authentication tag fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +38,7 @@ impl std::error::Error for OpenError {}
 /// assert_eq!(cipher.open(&[0; 12], &sealed, b"header").unwrap(), b"payload");
 /// assert!(cipher.open(&[0; 12], &sealed, b"tampered").is_err());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct AesGcm {
     aes: Aes128,
     /// GHASH subkey H = E_K(0^128), kept as a u128 for the GF multiply.
@@ -44,8 +50,20 @@ pub struct AesGcm {
     /// instead of the 128-iteration bit loop in [`gf_mult`]; the profiles
     /// of the serving benches had that loop as the single hottest
     /// function. The tables are filled by linearity from the 8 products
-    /// `t^k·H`, so construction costs 8 field shifts and 255 XORs.
-    mul_table: Box<[u128; 256]>,
+    /// `t^k·H`, so construction costs 8 field shifts and 255 XORs. Only
+    /// the table backend reads it, so it is built on first use: a cipher
+    /// on the hardware or reference backend never pays for its 4 KiB.
+    mul_table: OnceLock<Box<[u128; 256]>>,
+}
+
+/// Prints no key material (round keys, H, the multiply table): only the
+/// type and the backend in use.
+impl std::fmt::Debug for AesGcm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AesGcm")
+            .field("backend", &crate::backend())
+            .finish_non_exhaustive()
+    }
 }
 
 /// Reduction table for shifting a field element right by one byte:
@@ -93,39 +111,32 @@ impl AesGcm {
         let aes = Aes128::new(key);
         let mut h_block = [0u8; 16];
         aes.encrypt_block(&mut h_block);
-        let h = u128::from_be_bytes(h_block);
-        // Basis products t^k·H for k = 0..8; the top bit is the field's
-        // multiplicative identity in this representation, so t⁰·H = H.
-        let mut basis = [0u128; 8];
-        basis[0] = h;
-        for k in 1..8 {
-            basis[k] = shift1(basis[k - 1]);
+        AesGcm {
+            aes,
+            h: u128::from_be_bytes(h_block),
+            mul_table: OnceLock::new(),
         }
-        let mut mul_table = Box::new([0u128; 256]);
-        for b in 1usize..256 {
-            // Linearity over GF(2): fold in the lowest set bit. Bit j of
-            // the byte is the coefficient of t^(7-j).
-            let low = b & b.wrapping_neg();
-            mul_table[b] = mul_table[b ^ low] ^ basis[7 - low.trailing_zeros() as usize];
-        }
-        AesGcm { aes, h, mul_table }
     }
 
-    /// Multiplies `z` by the subkey H via the byte table: Horner over the
-    /// 16 bytes of `z`, least-significant (highest-degree) byte first.
-    /// Architecturally identical to `gf_mult(z, self.h)`, which the tests
-    /// verify and which [`crate::set_reference_impl`] selects at runtime so
-    /// the wall-clock harness can price the table walk.
-    fn mul_h(&self, z: u128) -> u128 {
-        if crate::reference_impl() {
-            return gf_mult(z, self.h);
-        }
-        let mut acc = 0u128;
-        for i in 0..16 {
-            let byte = ((z >> (8 * i)) & 0xff) as usize;
-            acc = (acc >> 8) ^ SHIFT8_REDUCE[(acc & 0xff) as usize] ^ self.mul_table[byte];
-        }
-        acc
+    /// The Shoup table for H, built on first use.
+    fn table(&self) -> &[u128; 256] {
+        self.mul_table.get_or_init(|| {
+            // Basis products t^k·H for k = 0..8; the top bit is the field's
+            // multiplicative identity in this representation, so t⁰·H = H.
+            let mut basis = [0u128; 8];
+            basis[0] = self.h;
+            for k in 1..8 {
+                basis[k] = shift1(basis[k - 1]);
+            }
+            let mut mul_table = Box::new([0u128; 256]);
+            for b in 1usize..256 {
+                // Linearity over GF(2): fold in the lowest set bit. Bit j
+                // of the byte is the coefficient of t^(7-j).
+                let low = b & b.wrapping_neg();
+                mul_table[b] = mul_table[b ^ low] ^ basis[7 - low.trailing_zeros() as usize];
+            }
+            mul_table
+        })
     }
 
     /// Encrypts `plaintext` with additional authenticated data `aad`,
@@ -133,9 +144,22 @@ impl AesGcm {
     ///
     /// The caller must never reuse a `nonce` with the same key.
     pub fn seal(&self, nonce: &[u8; 12], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
-        let mut out = plaintext.to_vec();
-        self.ctr_xor(nonce, 2, &mut out);
-        let tag = self.tag(nonce, aad, &out);
+        self.seal_with(Backend::current(), nonce, plaintext, aad)
+    }
+
+    /// [`AesGcm::seal`] on a chosen backend, for the differential tests.
+    #[doc(hidden)]
+    pub fn seal_with(
+        &self,
+        backend: Backend,
+        nonce: &[u8; 12],
+        plaintext: &[u8],
+        aad: &[u8],
+    ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
+        self.aes.ctr_xor_with(backend, nonce, 2, &mut out);
+        let tag = self.tag(backend, nonce, aad, &out);
         out.extend_from_slice(&tag);
         out
     }
@@ -148,63 +172,89 @@ impl AesGcm {
     /// Returns [`OpenError`] if `sealed` is shorter than a tag or the tag
     /// does not verify (wrong key, nonce, AAD, or tampered ciphertext).
     pub fn open(&self, nonce: &[u8; 12], sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>, OpenError> {
+        self.open_with(Backend::current(), nonce, sealed, aad)
+    }
+
+    /// [`AesGcm::open`] on a chosen backend, for the differential tests.
+    ///
+    /// # Errors
+    ///
+    /// As [`AesGcm::open`].
+    #[doc(hidden)]
+    pub fn open_with(
+        &self,
+        backend: Backend,
+        nonce: &[u8; 12],
+        sealed: &[u8],
+        aad: &[u8],
+    ) -> Result<Vec<u8>, OpenError> {
         if sealed.len() < TAG_LEN {
             return Err(OpenError);
         }
         let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let expected = self.tag(nonce, aad, ct);
+        let expected = self.tag(backend, nonce, aad, ct);
         if !ct_eq(&expected, tag) {
             return Err(OpenError);
         }
         let mut out = ct.to_vec();
-        self.ctr_xor(nonce, 2, &mut out);
+        self.aes.ctr_xor_with(backend, nonce, 2, &mut out);
         Ok(out)
     }
 
-    /// CTR-mode keystream XOR starting at block counter `ctr0`.
-    fn ctr_xor(&self, nonce: &[u8; 12], ctr0: u32, data: &mut [u8]) {
-        let mut counter = ctr0;
-        for chunk in data.chunks_mut(16) {
-            let mut block = [0u8; 16];
-            block[..12].copy_from_slice(nonce);
-            block[12..].copy_from_slice(&counter.to_be_bytes());
-            self.aes.encrypt_block(&mut block);
-            for (b, k) in chunk.iter_mut().zip(block.iter()) {
-                *b ^= k;
-            }
-            counter = counter.wrapping_add(1);
-        }
-    }
-
-    fn tag(&self, nonce: &[u8; 12], aad: &[u8], ct: &[u8]) -> [u8; 16] {
-        let mut ghash = 0u128;
-        self.ghash_update(&mut ghash, aad);
-        self.ghash_update(&mut ghash, ct);
+    fn tag(&self, backend: Backend, nonce: &[u8; 12], aad: &[u8], ct: &[u8]) -> [u8; 16] {
         let mut len_block = [0u8; 16];
         len_block[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
         len_block[8..].copy_from_slice(&((ct.len() as u64) * 8).to_be_bytes());
-        ghash = self.mul_h(ghash ^ u128::from_be_bytes(len_block));
+        let len_block = u128::from_be_bytes(len_block);
+        let ghash = match backend {
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hardware(cpu) => crate::ghash_clmul::ghash(cpu, self.h, aad, ct, len_block),
+            #[cfg(not(target_arch = "x86_64"))]
+            Backend::Hardware(_) => unreachable!("Cpu::detect is None off x86-64"),
+            Backend::Table => {
+                let table = self.table();
+                ghash_soft(|z| shoup_mul(table, z), aad, ct, len_block)
+            }
+            Backend::Reference => ghash_soft(|z| gf_mult(z, self.h), aad, ct, len_block),
+        };
 
         // E_K(J0) where J0 = nonce || 0^31 || 1.
         let mut j0 = [0u8; 16];
         j0[..12].copy_from_slice(nonce);
         j0[15] = 1;
-        self.aes.encrypt_block(&mut j0);
+        self.aes.encrypt_block_with(backend, &mut j0);
         (ghash ^ u128::from_be_bytes(j0)).to_be_bytes()
-    }
-    fn ghash_update(&self, acc: &mut u128, data: &[u8]) {
-        for chunk in data.chunks(16) {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
-            *acc = self.mul_h(*acc ^ u128::from_be_bytes(block));
-        }
     }
 }
 
+/// Multiplies `z` by H via H's Shoup `table`: Horner over the 16 bytes of
+/// `z`, least-significant (highest-degree) byte first. Architecturally
+/// identical to `gf_mult(z, h)`, which the tests verify.
+fn shoup_mul(table: &[u128; 256], z: u128) -> u128 {
+    let mut acc = 0u128;
+    for i in 0..16 {
+        let byte = ((z >> (8 * i)) & 0xff) as usize;
+        acc = (acc >> 8) ^ SHIFT8_REDUCE[(acc & 0xff) as usize] ^ table[byte];
+    }
+    acc
+}
+
+/// GHASH of `aad` and `ct` (each zero-padded to whole blocks) and the
+/// closing `len_block`, one multiply by H per block.
+fn ghash_soft(mul_h: impl Fn(u128) -> u128, aad: &[u8], ct: &[u8], len_block: u128) -> u128 {
+    let mut acc = 0u128;
+    for chunk in aad.chunks(16).chain(ct.chunks(16)) {
+        let mut block = [0u8; 16];
+        block[..chunk.len()].copy_from_slice(chunk);
+        acc = mul_h(acc ^ u128::from_be_bytes(block));
+    }
+    mul_h(acc ^ len_block)
+}
+
 /// Carry-less multiply in GF(2^128) with the GCM reduction polynomial: the
-/// bit-by-bit reference implementation that [`AesGcm::mul_h`]'s table walk
-/// must agree with (tested below, and selectable at runtime via
-/// [`crate::set_reference_impl`]).
+/// bit-by-bit reference implementation that [`shoup_mul`]'s table walk
+/// (tested below) and the PCLMULQDQ GHASH (`tests/backends.rs`) must agree
+/// with; selectable at runtime via [`crate::set_reference_impl`].
 fn gf_mult(x: u128, y: u128) -> u128 {
     const R: u128 = 0xe100_0000_0000_0000_0000_0000_0000_0000;
     let mut z = 0u128;
@@ -291,10 +341,50 @@ mod tests {
             s ^= s << 29;
             s ^= s >> 51;
             s ^= s << 13;
-            assert_eq!(cipher.mul_h(s), gf_mult(s, cipher.h), "z = {s:032x}");
+            assert_eq!(
+                shoup_mul(cipher.table(), s),
+                gf_mult(s, cipher.h),
+                "z = {s:032x}"
+            );
         }
-        assert_eq!(cipher.mul_h(0), 0);
-        assert_eq!(cipher.mul_h(1 << 127), cipher.h, "top bit is identity");
+        assert_eq!(shoup_mul(cipher.table(), 0), 0);
+        assert_eq!(
+            shoup_mul(cipher.table(), 1 << 127),
+            cipher.h,
+            "top bit is identity"
+        );
+    }
+
+    #[test]
+    fn debug_prints_no_key_material() {
+        let key = [
+            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+            0x4f, 0x3c,
+        ];
+        let cipher = AesGcm::new(&key);
+        // Build the multiply table too, so it would show if printed.
+        cipher.table();
+        let printed = format!("{cipher:?} {:?} {cipher:#?}", cipher.aes);
+        let mut secrets = vec![
+            format!("{:032x}", cipher.h),
+            cipher.h.to_string(),
+            hex(&key),
+        ];
+        for word in cipher.aes.round_keys().iter().flatten() {
+            secrets.push(format!("{word:08x}"));
+            secrets.push(word.to_string());
+        }
+        secrets.extend(cipher.table()[1..].iter().map(|e| e.to_string()));
+        for secret in &secrets {
+            assert!(
+                !printed.contains(secret.as_str()),
+                "{printed} leaks {secret}"
+            );
+        }
+        assert_eq!(
+            format!("{cipher:?}"),
+            format!("AesGcm {{ backend: {:?}, .. }}", crate::backend())
+        );
     }
 
     #[test]

@@ -17,10 +17,18 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
 }
 
 /// Incremental HMAC-SHA-256.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
     outer_key: [u8; 64],
+}
+
+/// Prints no key material (the padded outer key, the keyed inner state):
+/// only the type name.
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
 }
 
 impl HmacSha256 {
@@ -112,6 +120,12 @@ mod tests {
         mac.update(b"part one ");
         mac.update(b"part two");
         assert_eq!(mac.finalize(), hmac_sha256(b"k", b"part one part two"));
+    }
+
+    #[test]
+    fn debug_prints_no_key_material() {
+        let mac = HmacSha256::new(&[0x0b; 20]);
+        assert_eq!(format!("{mac:?}"), "HmacSha256 { .. }");
     }
 
     #[test]

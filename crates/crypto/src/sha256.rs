@@ -16,12 +16,21 @@
 /// h.update(b"world");
 /// assert_eq!(h.finalize(), ne_crypto::sha256::digest(b"hello world"));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
+}
+
+/// Prints neither the buffered input nor the chaining state, either of
+/// which can hold secret bytes (a key being derived, an HMAC's padded
+/// key): only the type name.
+impl std::fmt::Debug for Sha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Sha256").finish_non_exhaustive()
+    }
 }
 
 const K: [u32; 64] = [
@@ -173,6 +182,13 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn debug_prints_no_buffered_input() {
+        let mut h = Sha256::new();
+        h.update(b"secret");
+        assert_eq!(format!("{h:?}"), "Sha256 { .. }");
     }
 
     #[test]

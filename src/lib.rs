@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Root package of the Nested Enclave reproduction workspace: the
 //! examples and cross-crate integration tests live here, re-exporting
