@@ -5,8 +5,10 @@
 //! Where the figure/table binaries measure single calls, this one drives
 //! **sustained traffic** through the full admission → scheduler →
 //! ecall → n_ecall → reply chain and reports end-to-end request latency
-//! (p50/p99) and throughput. Two arrival processes run, each against a
-//! freshly built cluster:
+//! (p50/p99) and throughput. Every run is one `Cluster::run` call on a
+//! freshly built cluster, checked the same way in every mode (scheduler
+//! invariants, reply-or-shed, every reply against a fresh factory, the
+//! metrics identities). Two arrival processes run:
 //!
 //! * **open-loop** — Poisson arrivals (exponential inter-arrival times
 //!   from the seeded RNG) offered regardless of completion; overload
@@ -59,9 +61,10 @@
 //! largest tenant per pressured shard moves — the named tenant is the
 //! one the summary highlights); `chaos[:period]` injects seeded
 //! migration requests through the fault plan (composable with
-//! `--chaos`). The run prints the usual per-tenant table, one line per
-//! migration record, and a final `dropped=<n>` line that is asserted to
-//! be `dropped=0` — the zero-dropped-requests invariant. Everything is
+//! `--chaos`). The run prints the usual per-tenant table and summary,
+//! one line per migration record, and a final `dropped=<n>` line, which
+//! the reply-or-shed check has already forced to `dropped=0` — the
+//! zero-dropped-requests invariant. Everything is
 //! a simulation fact, so the report and the `--tenants-out` /
 //! `--timeline-out` exports are byte-identical across repeats of the
 //! same flags.
@@ -75,6 +78,9 @@
 //! byte-deterministic: every number in it is a simulation fact carried
 //! back in Reply frames, and the per-tenant reply digests match the
 //! server's `ne-tenants/v1` export line for line.
+//!
+//! A malformed `--mode`, `--chaos` or `--migrate` prints one
+//! `error: …` line on stderr and exits with status 2.
 
 use ne_bench::report::{
     banner, f2, flag_str, flag_u64, tenants_out_path, throughput_rps, timeline_out_path,
@@ -82,10 +88,11 @@ use ne_bench::report::{
 };
 use ne_cluster::{
     drive, Cluster, ClusterConfig, ClusterReport, MigrationOutcome, MigrationPolicy,
-    MigrationRecord, PlannedMove,
+    MigrationRecord, PlannedMove, Scenario, Traffic,
 };
 use ne_host::{RequestFactory, ServiceKind};
 use ne_obs::{SamplerConfig, Timeline};
+use ne_sgx::fault::FaultPlan;
 
 #[derive(Clone)]
 struct Plan {
@@ -154,45 +161,32 @@ fn tenant_table(report: &ClusterReport, shards: usize) -> Table {
     t
 }
 
-/// Runs one scenario on a fresh cluster; returns the per-tenant export
-/// and, when traced, the per-shard trace bundles.
-fn run(
-    label: &str,
+/// What one served run leaves for the exports.
+struct Served {
+    export: String,
+    bundles: Option<Vec<ne_sgx::spantree::TraceBundle>>,
+    timeline: Option<Timeline>,
+    timeline_label: String,
+}
+
+/// Runs `scenario` on `cluster` — the one path every mode takes — checks
+/// the end-of-run invariants (scheduler invariants, reply-or-shed, every
+/// reply against a fresh factory, the metrics identities), and prints
+/// the run's report; a segmented run also prints its migration log and
+/// the `dropped=0` line.
+fn serve(
     plan: &Plan,
+    label: &str,
+    timeline_label: &str,
+    mut cluster: Cluster,
+    scenario: &Scenario,
     report: &mut MetricsReport,
     trace: bool,
-    obs: Option<SamplerConfig>,
-) -> (
-    String,
-    Option<Vec<ne_sgx::spantree::TraceBundle>>,
-    Option<Timeline>,
-) {
-    let mut cluster = build(plan, trace);
-    // Chaos plans are seeded from --seed (salted) at shard 0, exactly the
-    // historic harness; higher shards get independent derived streams.
-    let chaos = plan
-        .chaos
-        .as_deref()
-        .map(|spec| (spec, plan.seed ^ 0xC4A0_5EED));
-    // The sampler only reads the servers, so the observed variants are
-    // byte-identical to the plain runs in every pre-existing export.
-    let (accepted, timeline) = match (label, obs) {
-        ("open-loop", None) => (cluster.run_open_loop(plan.requests, chaos), None),
-        ("closed-loop", None) => (cluster.run_closed_loop(plan.requests, chaos), None),
-        ("open-loop", Some(cfg)) => match cluster.run_open_loop_observed(plan.requests, chaos, cfg)
-        {
-            Ok((a, t)) => (Ok(a), Some(t)),
-            Err(e) => (Err(e), None),
-        },
-        ("closed-loop", Some(cfg)) => {
-            match cluster.run_closed_loop_observed(plan.requests, chaos, cfg) {
-                Ok((a, t)) => (Ok(a), Some(t)),
-                Err(e) => (Err(e), None),
-            }
-        }
-        (other, _) => unreachable!("unknown run label {other}"),
-    };
-    let accepted = accepted.unwrap_or_else(|e| panic!("--chaos: {e}"));
+) -> Served {
+    let out = cluster
+        .run(scenario)
+        .unwrap_or_else(|e| panic!("{label} run failed: {e}"));
+    let accepted = out.accepted;
     let hr = cluster.report();
     assert_eq!(
         hr.sched.invariant_violations, 0,
@@ -224,7 +218,7 @@ fn run(
     let s = cluster.request_histogram().summary();
     let clock = cluster.clock_ghz();
     println!("\n{label}: {accepted} requests served");
-    tenant_table(&hr, plan.shards).print();
+    tenant_table(&hr, cluster.num_shards()).print();
     if let Some(cs) = cluster.chaos_stats() {
         println!(
             "  chaos: {} eenters seen | {} aex storms, {} forced evictions, {} tamperings, \
@@ -253,9 +247,32 @@ fn run(
         hr.sched.steals,
         hr.sched.max_backlog,
     );
+    if matches!(&scenario.traffic, Traffic::Closed { segments } if segments.len() > 1) {
+        println!("\nmigrations: {}", out.migrations.len());
+        for r in &out.migrations {
+            println!("{}", migration_line(r));
+        }
+        for r in &out.migrations {
+            let (shard, _) = cluster.placement(r.global);
+            println!(
+                "  tenant {} now on shard {} (seal floor {})",
+                r.global,
+                shard,
+                cluster.seal_floor(r.global)
+            );
+        }
+        // The headline invariant, already asserted above as reply-or-shed:
+        // every accepted request terminated with a reply or an explicit
+        // counted shed — migration dropped nothing.
+        println!("dropped={}", accepted - hr.completed() - hr.shed_requests());
+    }
     report.push_run(label, m);
-    let export = cluster.tenants_export();
-    (export, trace.then(|| cluster.trace_bundles()), timeline)
+    Served {
+        export: cluster.tenants_export(),
+        bundles: trace.then(|| cluster.trace_bundles()),
+        timeline: out.timeline,
+        timeline_label: timeline_label.to_string(),
+    }
 }
 
 /// What `--migrate <tenant>@<trigger>` asked for.
@@ -323,22 +340,25 @@ fn migration_line(r: &MigrationRecord) -> String {
 }
 
 /// Migration mode (`--migrate`): one segmented closed-loop run with a
-/// barrier migration mid-run, the per-tenant table, the migration log,
-/// and the asserted `dropped=0` line. Exports describe this run.
-fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>, dash: bool) {
-    let (tenant, trigger) =
-        parse_migrate(spec, plan.tenants).unwrap_or_else(|e| panic!("--migrate: {e}"));
-    assert!(
-        plan.requests >= 2,
-        "--migrate needs at least 2 requests per pair (one per segment)"
-    );
+/// barrier migration mid-run.
+fn run_migrate(
+    spec: &str,
+    plan: &Plan,
+    obs: Option<SamplerConfig>,
+    report: &mut MetricsReport,
+) -> Served {
+    let (tenant, trigger) = parse_migrate(spec, plan.tenants)
+        .unwrap_or_else(|e| usage_error(&format!("--migrate: {e}")));
+    if plan.requests < 2 {
+        usage_error("--migrate needs at least 2 requests per pair (one per segment)");
+    }
     let mut plan = plan.clone();
     // Migration needs a destination; a single-shard request is promoted.
     plan.shards = plan.shards.max(2);
-    let mut cluster = build(&plan, false);
+    let cluster = build(&plan, want_trace());
     // One barrier at the midpoint of the run.
     let first = plan.requests - plan.requests / 2;
-    let segments = [first, plan.requests - first];
+    let segments = vec![first, plan.requests - first];
     let mut policy = MigrationPolicy::default();
     let mut chaos_spec = plan.chaos.clone();
     let highlight = match trigger {
@@ -382,64 +402,85 @@ fn run_migrate(spec: &str, plan: &Plan, obs: Option<SamplerConfig>, dash: bool) 
             .map(|c| format!(", chaos {c}"))
             .unwrap_or_default()
     ));
-    let chaos = chaos_spec.as_deref().map(|s| (s, plan.seed ^ 0xC4A0_5EED));
-    let (accepted, timeline, log) = match obs {
-        None => {
-            let (a, log) = cluster
-                .run_segmented_closed_loop(&segments, chaos, &policy)
-                .unwrap_or_else(|e| panic!("--migrate run failed: {e}"));
-            (a, None, log)
-        }
-        Some(cfg) => {
-            let (a, t, log) = cluster
-                .run_segmented_closed_loop_observed(&segments, chaos, &policy, cfg)
-                .unwrap_or_else(|e| panic!("--migrate run failed: {e}"));
-            (a, Some(t), log)
-        }
+    let scenario = Scenario {
+        traffic: Traffic::Closed { segments },
+        chaos: chaos_spec,
+        migration: policy,
+        obs,
     };
-    let hr = cluster.report();
-    assert_eq!(
-        hr.sched.invariant_violations, 0,
-        "scheduler invariant violated"
-    );
-    println!("\nsegmented closed-loop: {accepted} requests served");
-    tenant_table(&hr, plan.shards).print();
-    println!("\nmigrations: {}", log.len());
-    for r in &log {
-        println!("{}", migration_line(r));
-    }
-    for r in &log {
-        let (shard, _) = cluster.placement(r.global);
-        println!(
-            "  tenant {} now on shard {} (seal floor {})",
-            r.global,
-            shard,
-            cluster.seal_floor(r.global)
-        );
-    }
-    // The headline invariant: every accepted request terminated with a
-    // reply or an explicit counted shed — migration dropped nothing.
-    let dropped = accepted - hr.completed() - hr.shed_requests();
-    println!("dropped={dropped}");
-    assert_eq!(dropped, 0, "migration dropped an accepted request");
-    if let Some(path) = tenants_out_path() {
-        let payload = cluster.tenants_export();
-        std::fs::write(&path, &payload)
-            .unwrap_or_else(|e| panic!("cannot write tenants export to {}: {e}", path.display()));
-        println!("\ntenants export: wrote {}", path.display());
-    }
-    if let Some(t) = &timeline {
-        if dash {
-            println!();
-            print!("{}", ne_obs::dash::render(t, "ne-load-migrate"));
-        }
-        if let Some(path) = timeline_out_path() {
-            std::fs::write(&path, ne_obs::to_jsonl(t, "ne-load-migrate")).unwrap_or_else(|e| {
-                panic!("cannot write timeline export to {}: {e}", path.display())
-            });
-            println!("\ntimeline export: wrote {}", path.display());
-        }
-    }
+    serve(
+        &plan,
+        "segmented closed-loop",
+        "ne-load-migrate",
+        cluster,
+        &scenario,
+        report,
+        want_trace(),
+    )
+}
+
+/// The default modes: the open and/or closed loop (`--mode`), each on a
+/// fresh cluster.
+fn run_modes(plan: &Plan, obs: Option<SamplerConfig>, report: &mut MetricsReport) -> Vec<Served> {
+    let mode = flag_str("--mode").unwrap_or_else(|| "both".to_string());
+    let (open, closed) = match mode.as_str() {
+        "open" => (true, false),
+        "closed" => (false, true),
+        "both" => (true, true),
+        other => usage_error(&format!("--mode expects open|closed|both, got '{other}'")),
+    };
+    banner(&format!(
+        "ne-load: {} tenants x {} services, {} requests per pair, seed {}, switchless {}{}{}",
+        plan.tenants,
+        plan.services,
+        plan.requests,
+        plan.seed,
+        plan.switchless,
+        // Only announced when actually sharded, so one-shard stdout stays
+        // byte-identical to the pre-cluster harness.
+        if plan.shards > 1 {
+            format!(", shards {}", plan.shards)
+        } else {
+            String::new()
+        },
+        plan.chaos
+            .as_deref()
+            .map(|c| format!(", chaos {c}"))
+            .unwrap_or_default()
+    ));
+    let runs = [
+        (open, "open-loop", Scenario::open(plan.requests)),
+        (closed, "closed-loop", Scenario::closed(plan.requests)),
+    ];
+    runs.into_iter()
+        .filter(|(on, ..)| *on)
+        .map(|(_, label, base)| {
+            // The traced run: the closed loop has the cleanest span
+            // structure (no overlapping idle-advance from future arrivals).
+            let trace = want_trace() && label == "closed-loop";
+            let scenario = Scenario {
+                chaos: plan.chaos.clone(),
+                obs,
+                ..base
+            };
+            let cluster = build(plan, trace);
+            serve(
+                plan,
+                label,
+                &format!("ne-load-{label}"),
+                cluster,
+                &scenario,
+                report,
+                trace,
+            )
+        })
+        .collect()
+}
+
+/// Reports a malformed command line on stderr and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 /// Wire-client mode (`--connect`): replay the seeded streams against a
@@ -448,7 +489,9 @@ fn run_connect(addr: String) {
     let mode = match flag_str("--mode").as_deref().unwrap_or("closed") {
         "closed" => ne_serve::Mode::Closed,
         "open" => ne_serve::Mode::Open,
-        other => panic!("--connect runs one scenario; --mode expects open|closed, got '{other}'"),
+        other => usage_error(&format!(
+            "--connect runs one scenario; --mode expects open|closed, got '{other}'"
+        )),
     };
     let cfg = ne_serve::ClientConfig {
         addr,
@@ -485,6 +528,13 @@ fn main() {
         chaos: flag_str("--chaos"),
         reference: std::env::args().any(|a| a == "--reference"),
     };
+    if let Some(spec) = &plan.chaos {
+        // The grammar does not depend on the seed; parse once up front so
+        // a typo is a usage error, not a mid-run failure.
+        if let Err(e) = FaultPlan::parse(spec, plan.seed) {
+            usage_error(&format!("--chaos: {e}"));
+        }
+    }
     // `--reference` means the naive forms of every optimized hot path: the
     // simulator's memory pipeline (via `HwConfig::reference_path`) and the
     // bit/byte-wise crypto primitives. Outputs are identical either way.
@@ -492,90 +542,39 @@ fn main() {
     // On stderr, so the byte-compared stdout and exports stay the same on
     // every CPU.
     eprintln!("crypto backend: {}", ne_crypto::backend());
-    if let Some(spec) = flag_str("--migrate") {
-        let dash = std::env::args().any(|a| a == "--dash");
-        let obs = (dash || timeline_out_path().is_some()).then(|| SamplerConfig {
-            window_cycles: flag_u64("--window").unwrap_or(2_000_000).max(1),
-            ..SamplerConfig::default()
-        });
-        run_migrate(&spec, &plan, obs, dash);
-        return;
-    }
-    let mode = flag_str("--mode").unwrap_or_else(|| "both".to_string());
-    let (open, closed) = match mode.as_str() {
-        "open" => (true, false),
-        "closed" => (false, true),
-        "both" => (true, true),
-        other => panic!("--mode expects open|closed|both, got '{other}'"),
-    };
-    banner(&format!(
-        "ne-load: {} tenants x {} services, {} requests per pair, seed {}, switchless {}{}{}",
-        plan.tenants,
-        plan.services,
-        plan.requests,
-        plan.seed,
-        plan.switchless,
-        // Only announced when actually sharded, so one-shard stdout stays
-        // byte-identical to the pre-cluster harness.
-        if plan.shards > 1 {
-            format!(", shards {}", plan.shards)
-        } else {
-            String::new()
-        },
-        plan.chaos
-            .as_deref()
-            .map(|c| format!(", chaos {c}"))
-            .unwrap_or_default()
-    ));
     let dash = std::env::args().any(|a| a == "--dash");
-    // The observability plane rides along only when asked for — the
-    // plain runs stay exactly the historic code path.
+    // The observability plane rides along only when asked for; the
+    // sampler only reads, so every other export is unchanged by it.
     let obs = (dash || timeline_out_path().is_some()).then(|| SamplerConfig {
         window_cycles: flag_u64("--window").unwrap_or(2_000_000).max(1),
         ..SamplerConfig::default()
     });
     let mut report = MetricsReport::new("ne-load");
-    let mut bundles = None;
-    let mut export = None;
-    let mut timeline = None;
-    let mut timeline_label = "";
-    if open {
-        let (e, _, t) = run("open-loop", &plan, &mut report, false, obs);
-        export = Some(e);
-        if t.is_some() {
-            timeline = t;
-            timeline_label = "open-loop";
-        }
-    }
-    if closed {
-        // The traced run: the closed loop has the cleanest span structure
-        // (no overlapping idle-advance from future arrivals).
-        let (e, b, t) = run("closed-loop", &plan, &mut report, want_trace(), obs);
-        export = Some(e);
-        bundles = b;
-        if t.is_some() {
-            timeline = t;
-            timeline_label = "closed-loop";
-        }
-    }
+    let runs = match flag_str("--migrate") {
+        Some(spec) => vec![run_migrate(&spec, &plan, obs, &mut report)],
+        None => run_modes(&plan, obs, &mut report),
+    };
     if want_trace() {
-        write_shard_traces(bundles.as_deref().unwrap_or(&[]));
+        write_shard_traces(
+            runs.iter()
+                .find_map(|r| r.bundles.as_deref())
+                .unwrap_or(&[]),
+        );
     }
+    // The exports describe the *last* run.
+    let last = runs.last().expect("every mode runs at least once");
     if let Some(path) = tenants_out_path() {
-        let payload = export.expect("at least one run when --tenants-out is given");
-        std::fs::write(&path, &payload)
+        std::fs::write(&path, &last.export)
             .unwrap_or_else(|e| panic!("cannot write tenants export to {}: {e}", path.display()));
         println!("\ntenants export: wrote {}", path.display());
     }
-    // Like --tenants-out, the timeline describes the *last* run.
-    if let Some(t) = &timeline {
-        let label = format!("ne-load-{timeline_label}");
+    if let Some(t) = &last.timeline {
         if dash {
             println!();
-            print!("{}", ne_obs::dash::render(t, &label));
+            print!("{}", ne_obs::dash::render(t, &last.timeline_label));
         }
         if let Some(path) = timeline_out_path() {
-            std::fs::write(&path, ne_obs::to_jsonl(t, &label)).unwrap_or_else(|e| {
+            std::fs::write(&path, ne_obs::to_jsonl(t, &last.timeline_label)).unwrap_or_else(|e| {
                 panic!("cannot write timeline export to {}: {e}", path.display())
             });
             println!("\ntimeline export: wrote {}", path.display());

@@ -12,8 +12,9 @@
 //! Scenarios:
 //!
 //! * `closed-loop` — the multi-tenant hosting server under think-time-
-//!   free closed-loop load (the `ne-load` shape): crypto-heavy services,
-//!   scheduling, admission control.
+//!   free closed-loop load (the `ne-load` shape, one `Cluster::run` on a
+//!   one-shard cluster): crypto-heavy services, scheduling, admission
+//!   control.
 //! * `echo` — the nested SSL echo server (the Fig. 7 shape): bulk
 //!   record traffic through two enclave levels.
 //!
@@ -53,17 +54,16 @@ use std::time::Instant;
 use ne_bench::report::{
     banner, bench_out_path, f2, flag_str, flag_u64, timeline_out_path, Table, BENCH_SCHEMA,
 };
-use ne_cluster::{drive, Cluster, ClusterConfig};
-use ne_host::{HostConfig, HostServer, RequestFactory, ServiceKind, TenantSpec};
-use ne_obs::{Sampler, SamplerConfig};
+use ne_cluster::{drive, Cluster, ClusterConfig, RunOutput, Scenario};
+use ne_host::ServiceKind;
+use ne_obs::SamplerConfig;
 use ne_tls::echo::{run_echo, EchoConfig};
 
 const TENANTS: usize = 4;
 const SEED: u64 = 7;
 
-/// One scenario's paired measurement. `total_cycles` and `metrics_json`
-/// come from the optimized run after being checked equal to the
-/// reference run's.
+/// One scenario's paired measurement; `total_cycles` is the first timed
+/// run's (see [`measure`]).
 struct Measurement {
     label: &'static str,
     wall_ms_opt: f64,
@@ -77,33 +77,47 @@ impl Measurement {
     }
 }
 
-/// Times `run` on both paths, best of `repeat`, checking that the
-/// architectural outputs — total cycles and the full metrics export —
-/// are byte-identical across paths and across repeats.
-fn measure(label: &'static str, repeat: usize, run: impl Fn(bool) -> (u64, String)) -> Measurement {
-    let mut outputs: Vec<(bool, u64, String)> = Vec::new();
+/// One run's architectural outputs: total cycles, the metrics export,
+/// and the `ne-tenants/v1` export (empty where there is none).
+type Outputs = (u64, String, String);
+
+/// Times `run` on two `(column, arg)` legs, in order, best of `repeat`
+/// each; column 0 is "Optimized", column 1 "Reference". `exports`
+/// extracts each run's outputs outside the timed region. Every run's
+/// per-tenant export must match the first run's, and its cycle total and
+/// metrics export must match the first run of the same leg — or of
+/// either leg when `legs_agree` (the optimized-vs-reference oracle).
+/// The reported cycle total is the first run's.
+fn measure<A: Copy + PartialEq + std::fmt::Debug, T>(
+    label: &'static str,
+    repeat: usize,
+    legs: [(usize, A); 2],
+    legs_agree: bool,
+    run: impl Fn(A) -> T,
+    exports: impl Fn(T) -> Outputs,
+) -> Measurement {
     let mut best = [f64::INFINITY; 2];
-    for reference in [false, true] {
+    let mut outputs: Vec<(A, Outputs)> = Vec::new();
+    for (column, arg) in legs {
         for _ in 0..repeat {
-            ne_crypto::set_reference_impl(reference);
             let start = Instant::now();
-            let (cycles, metrics) = run(reference);
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            ne_crypto::set_reference_impl(false);
-            best[reference as usize] = best[reference as usize].min(ms);
-            outputs.push((reference, cycles, metrics));
+            let done = run(arg);
+            best[column] = best[column].min(start.elapsed().as_secs_f64() * 1e3);
+            outputs.push((arg, exports(done)));
         }
     }
-    let (_, cycles0, metrics0) = &outputs[0];
-    for (reference, cycles, metrics) in &outputs[1..] {
+    let (_, (cycles0, _, tenants0)) = &outputs[0];
+    for (arg, (cycles, metrics, tenants)) in &outputs[1..] {
         assert_eq!(
-            cycles0, cycles,
-            "{label}: cycle totals diverged (reference={reference})"
+            tenants0, tenants,
+            "{label}: per-tenant export diverged ({arg:?})"
         );
-        assert_eq!(
-            metrics0, metrics,
-            "{label}: metrics exports diverged (reference={reference})"
-        );
+        let (_, (c, m, _)) = outputs
+            .iter()
+            .find(|(a, _)| legs_agree || a == arg)
+            .expect("a first run");
+        assert_eq!(c, cycles, "{label}: cycle totals diverged ({arg:?})");
+        assert_eq!(m, metrics, "{label}: metrics exports diverged ({arg:?})");
     }
     Measurement {
         label,
@@ -113,170 +127,51 @@ fn measure(label: &'static str, repeat: usize, run: impl Fn(bool) -> (u64, Strin
     }
 }
 
-/// The `ne-load` closed-loop shape: every (tenant, service) client keeps
-/// exactly one request in flight until its quota is served.
-fn closed_loop(requests: usize, reference: bool) -> (u64, String) {
-    let (cycles, metrics, _) = closed_loop_inner(requests, reference, None);
-    (cycles, metrics)
+/// Runs `f` with the crypto primitives on their reference (`true`) or
+/// optimized forms, restoring the optimized ones afterwards.
+fn on_crypto_path<T>(reference: bool, f: impl FnOnce() -> T) -> T {
+    ne_crypto::set_reference_impl(reference);
+    let out = f();
+    ne_crypto::set_reference_impl(false);
+    out
 }
 
-/// The closed-loop scenario with an `ne-obs` sampler riding along; the
-/// sampler only reads, so the simulated run is byte-identical to the
-/// unobserved one. Returns the `ne-obs/v1` export.
-fn closed_loop_timeline(requests: usize, reference: bool) -> String {
-    let (_, _, timeline) = closed_loop_inner(requests, reference, Some(SamplerConfig::default()));
-    ne_obs::to_jsonl(
-        &timeline.expect("sampled run yields a timeline"),
-        "ne-wallclock-closed-loop",
-    )
-}
-
-fn closed_loop_inner(
+/// The `ne-load` closed-loop shape on a fresh cluster of `shards`
+/// shards: every (tenant, service) client keeps exactly one request in
+/// flight until its quota is served. `obs` attaches the `ne-obs`
+/// sampler, which only reads, so the simulated run is byte-identical
+/// either way.
+fn closed_loop(
     requests: usize,
+    shards: usize,
     reference: bool,
     obs: Option<SamplerConfig>,
-) -> (u64, String, Option<ne_obs::Timeline>) {
-    let specs: Vec<TenantSpec> = (0..TENANTS)
-        .map(|i| {
-            TenantSpec::new(
-                &format!("tenant{i}"),
-                (TENANTS - i) as u8,
-                ServiceKind::ALL.to_vec(),
-            )
-        })
-        .collect();
-    let mut cfg = HostConfig::new(specs);
-    cfg.seed = SEED;
-    cfg.hw.reference_path = reference;
-    let mut server = HostServer::build(cfg).expect("host build");
-    let mut factories: Vec<Vec<RequestFactory>> = (0..TENANTS)
-        .map(|t| {
-            ServiceKind::ALL
-                .iter()
-                .map(|&k| RequestFactory::new(k, t, SEED))
-                .collect()
-        })
-        .collect();
-    // Provisioning pass (the ne-load warmup): serve each service's setup
-    // requests so the measured loop sees steady-state work — real
-    // sealed-state traffic, not cold-start no-ops.
-    for (t, tenant_factories) in factories.iter_mut().enumerate() {
-        for (s, factory) in tenant_factories.iter_mut().enumerate() {
-            for _ in 0..factory.setup_requests().max(1) {
-                let payload = factory.next_request();
-                assert!(server.submit(t, s, server.now(), payload).is_accepted());
-                server.step().expect("warmup step");
-            }
-        }
-    }
-    server.drain().expect("warmup drain");
-    server.reset_measurement();
-    let mut sampler = obs.map(|cfg| Sampler::new(&server, (0..TENANTS).collect(), cfg));
-    let mut remaining = vec![vec![requests; ServiceKind::ALL.len()]; TENANTS];
-    for (t, tenant_factories) in factories.iter_mut().enumerate() {
-        for (s, factory) in tenant_factories.iter_mut().enumerate() {
-            remaining[t][s] -= 1;
-            let payload = factory.next_request();
-            assert!(server.submit(t, s, 0, payload).is_accepted());
-        }
-    }
-    while server.pending() > 0 {
-        let stepped = server.step().expect("closed-loop step");
-        if let Some(sampler) = &mut sampler {
-            sampler.poll(&server);
-        }
-        let Some(c) = stepped else {
-            continue;
-        };
-        if remaining[c.tenant][c.service] > 0 {
-            remaining[c.tenant][c.service] -= 1;
-            let payload = factories[c.tenant][c.service].next_request();
-            if !server
-                .submit(c.tenant, c.service, c.end, payload)
-                .is_accepted()
-            {
-                // Shed under pressure: this client stops.
-                remaining[c.tenant][c.service] = 0;
-            }
-        }
-    }
-    server.drain().expect("drain");
-    let m = server.app.machine.metrics();
-    (
-        m.total_cycles,
-        m.to_json(),
-        sampler.map(|s| s.finish(&server)),
-    )
-}
-
-/// One cluster closed-loop run at `shards` shards: merged total cycles,
-/// merged metrics JSON, and the `ne-tenants/v1` per-tenant export.
-fn cluster_closed_loop(requests: usize, shards: usize) -> (u64, String, String) {
+) -> (Cluster, RunOutput) {
     let mut cfg = ClusterConfig::new(
         drive::standard_specs(TENANTS, ServiceKind::ALL.len()),
         shards,
     );
     cfg.host.seed = SEED;
+    cfg.host.hw.reference_path = reference;
     let mut cluster = Cluster::build(cfg).expect("cluster build");
-    cluster
-        .run_closed_loop(requests, None)
+    let out = cluster
+        .run(&Scenario {
+            obs,
+            ..Scenario::closed(requests)
+        })
         .expect("cluster closed loop");
+    (cluster, out)
+}
+
+/// A closed-loop cluster's outputs, merged metrics identity-checked.
+fn cluster_outputs(cluster: Cluster) -> Outputs {
     let m = cluster.merged_metrics().expect("metrics merge");
     m.check().expect("merged metrics identities");
     (m.total_cycles, m.to_json(), cluster.tenants_export())
 }
 
-/// Times the cluster closed loop at one shard vs `shards` shards, best
-/// of `repeat` each, enforcing the shard-count-invariance oracle: the
-/// per-tenant exports must be byte-identical across shard counts and
-/// across repeats, and each shard count's merged metrics must be
-/// byte-reproducible. The one-shard numbers land in the "reference"
-/// column, so the speedup column reads as the parallel scaling factor.
-fn measure_shards(requests: usize, shards: usize, repeat: usize) -> Measurement {
-    let mut best = [f64::INFINITY; 2];
-    let mut outputs: Vec<(usize, u64, String, String)> = Vec::new();
-    for (slot, n) in [(1usize, 1usize), (0, shards)] {
-        for _ in 0..repeat {
-            let start = Instant::now();
-            let (cycles, metrics, export) = cluster_closed_loop(requests, n);
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            best[slot] = best[slot].min(ms);
-            outputs.push((n, cycles, metrics, export));
-        }
-    }
-    let (_, cycles0, _, export0) = &outputs[0];
-    for (n, cycles, metrics, export) in &outputs[1..] {
-        assert_eq!(
-            export0, export,
-            "shard-scale: per-tenant export diverged at {n} shard(s) — \
-             the shard-count-invariance oracle failed"
-        );
-        // Metrics are only byte-reproducible within a shard count (wall
-        // cycles differ across machine splits); check against the first
-        // run of the same count.
-        let (_, c_first, m_first, _) = outputs
-            .iter()
-            .find(|(m, ..)| m == n)
-            .expect("first run of this shard count");
-        assert_eq!(
-            c_first, cycles,
-            "shard-scale: cycles diverged at {n} shard(s)"
-        );
-        assert_eq!(
-            m_first, metrics,
-            "shard-scale: metrics diverged at {n} shard(s)"
-        );
-    }
-    Measurement {
-        label: "shard-scale",
-        wall_ms_opt: best[0],
-        wall_ms_ref: best[1],
-        total_cycles: *cycles0,
-    }
-}
-
 /// The Fig. 7 shape: nested SSL echo, bulk records through two levels.
-fn echo(messages: usize, reference: bool) -> (u64, String) {
+fn echo(messages: usize, reference: bool) -> Outputs {
     let run = run_echo(&EchoConfig {
         chunk_size: 4096,
         num_messages: messages,
@@ -285,7 +180,11 @@ fn echo(messages: usize, reference: bool) -> (u64, String) {
         reference,
     })
     .expect("echo run");
-    (run.metrics.total_cycles, run.metrics.to_json())
+    (
+        run.metrics.total_cycles,
+        run.metrics.to_json(),
+        String::new(),
+    )
 }
 
 fn main() {
@@ -314,12 +213,38 @@ fn main() {
             String::new()
         }
     ));
+    let paths = [(0, false), (1, true)];
     let mut runs = vec![
-        measure("closed-loop", repeat, |r| closed_loop(requests, r)),
-        measure("echo", repeat, |r| echo(messages, r)),
+        measure(
+            "closed-loop",
+            repeat,
+            paths,
+            true,
+            |r| on_crypto_path(r, || closed_loop(requests, 1, r, None).0),
+            cluster_outputs,
+        ),
+        measure(
+            "echo",
+            repeat,
+            paths,
+            true,
+            |r| on_crypto_path(r, || echo(messages, r)),
+            |out| out,
+        ),
     ];
     if shards > 1 {
-        runs.push(measure_shards(requests, shards, repeat));
+        // The one-shard runs fill the "Reference" column, so the speedup
+        // column reads as the parallel scaling factor; only the
+        // per-tenant export is invariant across shard counts (cycles
+        // shift with the machine split).
+        runs.push(measure(
+            "shard-scale",
+            repeat,
+            [(1, 1), (0, shards)],
+            false,
+            |n| closed_loop(requests, n, false, None).0,
+            cluster_outputs,
+        ));
     }
     let mut t = Table::new(&[
         "Scenario",
@@ -365,10 +290,15 @@ fn main() {
         // be byte-identical — the differential oracle extended to the
         // observability plane (window boundaries, SLO verdicts, event
         // attribution all ride on architectural state only).
-        let opt = closed_loop_timeline(requests, false);
-        ne_crypto::set_reference_impl(true);
-        let reference = closed_loop_timeline(requests, true);
-        ne_crypto::set_reference_impl(false);
+        let timeline = |reference: bool| {
+            let (_, out) = closed_loop(requests, 1, reference, Some(SamplerConfig::default()));
+            ne_obs::to_jsonl(
+                &out.timeline.expect("sampled run yields a timeline"),
+                "ne-wallclock-closed-loop",
+            )
+        };
+        let opt = timeline(false);
+        let reference = on_crypto_path(true, || timeline(true));
         assert_eq!(
             opt, reference,
             "timeline export diverged between optimized and reference paths"

@@ -7,17 +7,19 @@
 //! presented in global-tenant order — sorted by tenant id everywhere,
 //! never in shard or hash order.
 
-use crate::drive;
 use crate::ring::{shard_seed, ShardRing};
 use ne_host::scheduler::SchedulerStats;
 use ne_host::server::{HostConfig, HostServer, TenantReport};
 use ne_host::tenant::Completion;
 use ne_host::{HostResult, TenantSpec};
-use ne_obs::{Sampler, SamplerConfig, Timeline};
 use ne_sgx::fault::{ChaosStats, FaultPlan};
 use ne_sgx::metrics::MachineMetrics;
 use ne_sgx::profile::{Histogram, ProfileEvent};
 use ne_sgx::spantree::TraceBundle;
+
+/// Salt XORed into the cluster seed for the chaos plans' base seed, so a
+/// fault plan's stream is independent of the tenants' payload streams.
+pub const CHAOS_SALT: u64 = 0xC4A0_5EED;
 
 /// Cluster configuration: a host-server template plus the shard layout.
 #[derive(Debug, Clone)]
@@ -196,9 +198,8 @@ impl Cluster {
         &self.shards
     }
 
-    /// Mutable access to the shards, for external drivers (the
-    /// `ne-serve` wire front door drives shard 0 of a one-shard cluster
-    /// with [`drive::closed_loop_external`] between socket polls).
+    /// Mutable access to the shards (the `ne-serve` wire front door sheds
+    /// tenants whose clients never connected before it runs).
     pub fn shards_mut(&mut self) -> &mut [Shard] {
         &mut self.shards
     }
@@ -215,29 +216,17 @@ impl Cluster {
         self.seal_floors[global]
     }
 
-    /// Runs `f` once per shard — **one OS thread per shard** — and
-    /// returns the results in shard order. The single-shard case runs
-    /// inline on the calling thread, so a one-shard cluster is
-    /// bit-compatible with (and as debuggable as) the unsharded path.
-    pub fn run_parallel<R, F>(&mut self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut Shard) -> R + Sync,
-    {
-        self.run_parallel_with(self.shards.iter().map(|_| ()).collect(), |shard, ()| {
-            f(shard)
-        })
-    }
-
-    /// [`Cluster::run_parallel`] with one owned payload per shard (e.g.
-    /// a per-shard arrival schedule or chaos plan). `payloads[i]` goes
-    /// to shard `i`.
+    /// Runs `f` once per shard — **one OS thread per shard** — with
+    /// `payloads[i]` going to shard `i`, and returns the results in shard
+    /// order. The single-shard case runs inline on the calling thread,
+    /// so a one-shard cluster is bit-compatible with (and as debuggable
+    /// as) the unsharded path.
     ///
     /// # Panics
     ///
     /// Panics if `payloads` is not one per shard, or if a shard thread
     /// panics (the panic is propagated).
-    pub fn run_parallel_with<P, R, F>(&mut self, payloads: Vec<P>, f: F) -> Vec<R>
+    pub(crate) fn run_parallel<P, R, F>(&mut self, payloads: Vec<P>, f: F) -> Vec<R>
     where
         P: Send,
         R: Send,
@@ -265,177 +254,17 @@ impl Cluster {
         })
     }
 
-    /// Drives the closed-loop scenario on every shard in parallel (see
-    /// [`drive::closed_loop`]): warmup, optional per-shard chaos, then
-    /// one client per (tenant, service) keeping a request in flight
-    /// until `requests` are served. Returns total accepted.
-    ///
-    /// `chaos` is `(spec, base seed)`; each shard derives its own plan
-    /// seed with [`shard_seed`], so shard 0 of a one-shard cluster is
-    /// byte-identical to the unsharded chaos path.
-    ///
-    /// # Errors
-    ///
-    /// A malformed chaos spec.
-    pub fn run_closed_loop(
-        &mut self,
-        requests: usize,
-        chaos: Option<(&str, u64)>,
-    ) -> Result<u64, String> {
-        let plans = self.chaos_plans(chaos)?;
-        let seed = self.seed;
-        let accepted = self.run_parallel_with(plans, |shard, plan| {
-            let mut factories = drive::factories(shard, seed);
-            drive::warmup(shard, &mut factories);
-            if let Some(plan) = plan {
-                shard.server.install_chaos(plan);
-            }
-            drive::closed_loop(shard, &mut factories, requests)
-        });
-        Ok(accepted.iter().sum())
-    }
-
-    /// Drives the open-loop scenario: one **global** Poisson arrival
-    /// schedule (seeded by the base seed, so offered arrival times are
-    /// shard-count-invariant) routed to each tenant's shard, then every
-    /// shard plays its sub-schedule in parallel. Returns total accepted.
-    ///
-    /// # Errors
-    ///
-    /// A malformed chaos spec.
-    pub fn run_open_loop(
-        &mut self,
-        requests: usize,
-        chaos: Option<(&str, u64)>,
-    ) -> Result<u64, String> {
-        let plans = self.chaos_plans(chaos)?;
-        // Global (tenant, service) pairs in global order — exactly the
-        // unsharded harness's pair list.
-        let pairs: Vec<(usize, usize)> = (0..self.num_tenants())
-            .flat_map(|g| {
-                let (s, l) = self.assignment[g];
-                let services = self.shards[s].server.tenants()[l].spec.services.len();
-                (0..services).map(move |svc| (g, svc))
-            })
-            .collect();
-        let schedule = drive::poisson_schedule(&pairs, requests, self.seed);
-        // Route each arrival to its tenant's shard, in schedule order,
-        // rewriting the global tenant id to the shard-local index.
-        let mut routed: Vec<Vec<(usize, usize, u64)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for &(g, svc, at) in &schedule {
-            let (s, l) = self.assignment[g];
-            routed[s].push((l, svc, at));
-        }
-        let seed = self.seed;
-        let payloads: Vec<_> = routed.into_iter().zip(plans).collect();
-        let accepted = self.run_parallel_with(payloads, |shard, (schedule, plan)| {
-            let mut factories = drive::factories(shard, seed);
-            drive::warmup(shard, &mut factories);
-            if let Some(plan) = plan {
-                shard.server.install_chaos(plan);
-            }
-            drive::open_loop(shard, &mut factories, &schedule)
-        });
-        Ok(accepted.iter().sum())
-    }
-
-    /// [`Cluster::run_closed_loop`] with the observability plane
-    /// attached: each shard carries an [`ne_obs::Sampler`] (created
-    /// after warmup and chaos install, so it sees exactly the measured
-    /// run), the per-shard timelines are namespaced with
-    /// [`Timeline::rebase_shard`] and folded into one cluster timeline.
-    /// The sampler only reads, so accepted counts, metrics, and every
-    /// existing export are byte-identical to the unobserved run.
-    ///
-    /// # Errors
-    ///
-    /// A malformed chaos spec, or an impossible fold (cannot happen for
-    /// timelines produced here — all shards share one config).
-    pub fn run_closed_loop_observed(
-        &mut self,
-        requests: usize,
-        chaos: Option<(&str, u64)>,
-        obs: SamplerConfig,
-    ) -> Result<(u64, Timeline), String> {
-        let plans = self.chaos_plans(chaos)?;
-        let seed = self.seed;
-        let results = self.run_parallel_with(plans, |shard, plan| {
-            let mut factories = drive::factories(shard, seed);
-            drive::warmup(shard, &mut factories);
-            if let Some(plan) = plan {
-                shard.server.install_chaos(plan);
-            }
-            let mut sampler = Sampler::new(&shard.server, shard.globals.clone(), obs);
-            let accepted =
-                drive::closed_loop_with(shard, &mut factories, requests, &mut |s| sampler.poll(s));
-            let mut timeline = sampler.finish(&shard.server);
-            timeline.rebase_shard(shard.id);
-            (accepted, timeline)
-        });
-        let accepted = results.iter().map(|(a, _)| a).sum();
-        let timelines: Vec<Timeline> = results.into_iter().map(|(_, t)| t).collect();
-        Ok((accepted, Timeline::fold(&timelines)?))
-    }
-
-    /// [`Cluster::run_open_loop`] with the observability plane attached
-    /// (see [`Cluster::run_closed_loop_observed`]).
-    ///
-    /// # Errors
-    ///
-    /// A malformed chaos spec.
-    pub fn run_open_loop_observed(
-        &mut self,
-        requests: usize,
-        chaos: Option<(&str, u64)>,
-        obs: SamplerConfig,
-    ) -> Result<(u64, Timeline), String> {
-        let plans = self.chaos_plans(chaos)?;
-        let pairs: Vec<(usize, usize)> = (0..self.num_tenants())
-            .flat_map(|g| {
-                let (s, l) = self.assignment[g];
-                let services = self.shards[s].server.tenants()[l].spec.services.len();
-                (0..services).map(move |svc| (g, svc))
-            })
-            .collect();
-        let schedule = drive::poisson_schedule(&pairs, requests, self.seed);
-        let mut routed: Vec<Vec<(usize, usize, u64)>> =
-            (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for &(g, svc, at) in &schedule {
-            let (s, l) = self.assignment[g];
-            routed[s].push((l, svc, at));
-        }
-        let seed = self.seed;
-        let payloads: Vec<_> = routed.into_iter().zip(plans).collect();
-        let results = self.run_parallel_with(payloads, |shard, (schedule, plan)| {
-            let mut factories = drive::factories(shard, seed);
-            drive::warmup(shard, &mut factories);
-            if let Some(plan) = plan {
-                shard.server.install_chaos(plan);
-            }
-            let mut sampler = Sampler::new(&shard.server, shard.globals.clone(), obs);
-            let accepted =
-                drive::open_loop_with(shard, &mut factories, &schedule, &mut |s| sampler.poll(s));
-            let mut timeline = sampler.finish(&shard.server);
-            timeline.rebase_shard(shard.id);
-            (accepted, timeline)
-        });
-        let accepted = results.iter().map(|(a, _)| a).sum();
-        let timelines: Vec<Timeline> = results.into_iter().map(|(_, t)| t).collect();
-        Ok((accepted, Timeline::fold(&timelines)?))
-    }
-
-    /// One parsed chaos plan per shard (or `None`s without a spec).
-    pub(crate) fn chaos_plans(
-        &self,
-        chaos: Option<(&str, u64)>,
-    ) -> Result<Vec<Option<FaultPlan>>, String> {
+    /// One parsed chaos plan per shard (or `None`s without a spec), each
+    /// seeded from [`shard_seed`]`(seed ^ CHAOS_SALT, shard)` — so shard
+    /// 0 of a one-shard cluster replays the unsharded chaos stream.
+    pub(crate) fn chaos_plans(&self, spec: Option<&str>) -> Result<Vec<Option<FaultPlan>>, String> {
         self.shards
             .iter()
             .map(|shard| {
-                chaos
-                    .map(|(spec, base)| FaultPlan::parse(spec, shard_seed(base, shard.id)))
-                    .transpose()
+                spec.map(|spec| {
+                    FaultPlan::parse(spec, shard_seed(self.seed ^ CHAOS_SALT, shard.id))
+                })
+                .transpose()
             })
             .collect()
     }

@@ -1,6 +1,9 @@
-//! Shard drivers: the load-generator loops, factored out of the
-//! unsharded `ne-load` harness **byte for byte** so a one-shard cluster
-//! reproduces its exact request streams, arrival times, and replies.
+//! Shard drivers: the one warmup, closed-loop and open-loop body every
+//! run goes through ([`crate::Cluster::run`]), fed by a [`RequestSource`]
+//! — the in-process [`FactorySource`] or the `ne-serve` wire. Driven by
+//! a `FactorySource`, a one-shard cluster reproduces the unsharded
+//! `ne-load` harness's request streams, arrival times, and replies byte
+//! for byte.
 //!
 //! Two things differ from the unsharded code, both required for
 //! shard-count invariance and neither observable at one shard:
@@ -86,74 +89,6 @@ pub fn factories(shard: &Shard, seed: u64) -> Vec<Vec<RequestFactory>> {
         .collect()
 }
 
-/// Serves every provisioning request (db schema + pre-loads; at least one
-/// request per service to warm the paths), drains, and resets the
-/// measurement window so the measured runs see only steady-state work.
-pub fn warmup(shard: &mut Shard, factories: &mut [Vec<RequestFactory>]) {
-    let server = &mut shard.server;
-    for (t, tenant_factories) in factories.iter_mut().enumerate() {
-        if server.tenants()[t].shed {
-            continue;
-        }
-        for (s, factory) in tenant_factories.iter_mut().enumerate() {
-            for _ in 0..factory.setup_requests().max(1) {
-                let payload = factory.next_request();
-                assert!(
-                    server.submit(t, s, server.now(), payload).is_accepted(),
-                    "warmup request rejected (queue bound too small for setup?)"
-                );
-                // Serve as we go so setup never trips the queue bound.
-                server.step().expect("warmup step");
-            }
-        }
-    }
-    server.drain().expect("warmup drain");
-    server.reset_measurement();
-}
-
-/// Offered-load run over a pre-routed arrival schedule (`(local tenant,
-/// service, at)`): arrivals are submitted on time regardless of
-/// completions; full queues reject (backpressure). Returns accepted.
-pub fn open_loop(
-    shard: &mut Shard,
-    factories: &mut [Vec<RequestFactory>],
-    schedule: &[(usize, usize, u64)],
-) -> u64 {
-    open_loop_with(shard, factories, schedule, &mut |_| {})
-}
-
-/// [`open_loop`] with an observer called after every server step (the
-/// observability sampler polls the serving clock here). The observer
-/// only reads, so driving with a no-op observer is byte-identical to
-/// [`open_loop`].
-pub fn open_loop_with(
-    shard: &mut Shard,
-    factories: &mut [Vec<RequestFactory>],
-    schedule: &[(usize, usize, u64)],
-    observe: &mut dyn FnMut(&HostServer),
-) -> u64 {
-    let server = &mut shard.server;
-    let mut accepted = 0u64;
-    let mut i = 0;
-    while i < schedule.len() || server.pending() > 0 {
-        // Submit everything that has arrived by the serving clock; when
-        // the server is idle, jump to the next arrival.
-        while i < schedule.len() && (schedule[i].2 <= server.now() || server.pending() == 0) {
-            let (t, s, at) = schedule[i];
-            i += 1;
-            let payload = factories[t][s].next_request();
-            if server.submit(t, s, at, payload).is_accepted() {
-                accepted += 1;
-            }
-        }
-        if server.pending() > 0 {
-            server.step().expect("open-loop step");
-            observe(server);
-        }
-    }
-    accepted
-}
-
 /// What a [`RequestSource`] produced for one `pull`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Pulled {
@@ -168,17 +103,16 @@ pub enum Pulled {
     Stalled,
 }
 
-/// Where an external drive loop gets its request payloads and posts its
-/// results — the seam between the simulation-stepping loops below and a
-/// transport (the `ne-serve` TCP front door) or an in-process stand-in
-/// ([`FactorySource`]).
+/// Where a drive loop gets its request payloads and posts its results —
+/// the seam between the simulation-stepping loops below and a transport
+/// (the `ne-serve` TCP front door) or the in-process [`FactorySource`].
 ///
-/// The contract that keeps external drives byte-identical to the plain
-/// loops: `pull` may block on wall-clock I/O but must not touch the
-/// simulation, and for a well-behaved source it returns exactly the
-/// payload stream a [`RequestFactory`] keyed by the same `(seed, global
-/// tenant)` would produce. `deliver` and `rejected` are notifications
-/// only (the driver ignores their effects entirely).
+/// The contract that keeps every source byte-identical to
+/// [`FactorySource`]: `pull` may block on wall-clock I/O but must not
+/// touch the simulation, and for a well-behaved source it returns
+/// exactly the payload stream a [`RequestFactory`] keyed by the same
+/// `(seed, global tenant)` would produce. `deliver` and `rejected` are
+/// notifications only (the driver ignores their effects entirely).
 pub trait RequestSource {
     /// Produces the next request payload for `(tenant, service)`.
     fn pull(&mut self, tenant: usize, service: usize) -> Pulled;
@@ -187,81 +121,86 @@ pub trait RequestSource {
     /// Reports that the pair's last pulled request was rejected by
     /// admission (backpressure or shed).
     fn rejected(&mut self, tenant: usize, service: usize);
-}
-
-/// Warmup request counts per (tenant, service): each pair serves its
-/// provisioning requests plus at least one path-warming request —
-/// exactly [`warmup`]'s per-factory loop bound.
-pub fn setup_counts(factories: &[Vec<RequestFactory>]) -> Vec<Vec<usize>> {
-    factories
-        .iter()
-        .map(|fs| fs.iter().map(|f| f.setup_requests().max(1)).collect())
-        .collect()
-}
-
-/// A [`RequestSource`] backed by the shard's own [`RequestFactory`]s —
-/// the reference implementation of the source contract. Driving
-/// [`closed_loop_external`] / [`open_loop_external`] with a
-/// `FactorySource` is byte-identical to [`closed_loop`] / [`open_loop`]
-/// (asserted by test); the `ne-serve` wire source must match it.
-pub struct FactorySource<'a> {
-    factories: &'a mut [Vec<RequestFactory>],
-    /// Warmup requests still to serve per pair, consumed first — the
-    /// stream position a wire client's fire-and-forget warmup frames
-    /// occupy.
-    warmup: Vec<Vec<usize>>,
-    /// Measured requests still to serve per pair.
-    remaining: Vec<Vec<usize>>,
-}
-
-impl<'a> FactorySource<'a> {
-    /// A source serving each pair's setup requests and then `requests`
-    /// measured ones from `factories`.
-    pub fn new(factories: &'a mut [Vec<RequestFactory>], requests: usize) -> FactorySource<'a> {
-        let warmup = setup_counts(factories);
-        let remaining = factories
-            .iter()
-            .map(|fs| vec![requests; fs.len()])
-            .collect();
-        FactorySource {
-            factories,
-            warmup,
-            remaining,
-        }
+    /// Opens a measured segment of `requests` per pair (called after
+    /// warmup and again after every migration barrier). The default does
+    /// nothing: a peer that ends its own stream with [`Pulled::Done`]
+    /// decides the length.
+    fn begin_segment(&mut self, _requests: usize) {}
+    /// Hands local tenant `local`'s stream to `dest`, which gained the
+    /// tenant as its newest slot at a migration barrier; `None` means a
+    /// rolled-back adoption re-slotted it on this source's own shard.
+    /// The default does nothing: only multi-shard runs migrate, and the
+    /// wire serves one shard.
+    fn move_tenant(&mut self, _local: usize, _dest: Option<&mut Self>)
+    where
+        Self: Sized,
+    {
     }
 }
 
-impl RequestSource for FactorySource<'_> {
+/// A [`RequestSource`] backed by one [`RequestFactory`] per (local
+/// tenant, service) — the reference implementation of the source
+/// contract, and what [`crate::Cluster::run`] drives every shard with.
+/// The `ne-serve` wire source must match it byte for byte.
+pub struct FactorySource {
+    /// One row of factories per local tenant slot.
+    rows: Vec<Vec<RequestFactory>>,
+    /// Measured requests still to serve per pair in this segment;
+    /// unbounded before the first segment, so warmup (bounded by the
+    /// driver) draws the leading provisioning requests of each stream.
+    remaining: Vec<Vec<usize>>,
+}
+
+impl FactorySource {
+    /// A source over `rows` (see [`factories`]).
+    pub fn new(rows: Vec<Vec<RequestFactory>>) -> FactorySource {
+        let remaining = rows.iter().map(|r| vec![usize::MAX; r.len()]).collect();
+        FactorySource { rows, remaining }
+    }
+}
+
+impl RequestSource for FactorySource {
     fn pull(&mut self, tenant: usize, service: usize) -> Pulled {
-        if self.warmup[tenant][service] > 0 {
-            self.warmup[tenant][service] -= 1;
-        } else if self.remaining[tenant][service] > 0 {
-            self.remaining[tenant][service] -= 1;
-        } else {
+        let left = &mut self.remaining[tenant][service];
+        if *left == 0 {
             return Pulled::Done;
         }
-        Pulled::Request(self.factories[tenant][service].next_request())
+        *left -= 1;
+        Pulled::Request(self.rows[tenant][service].next_request())
     }
 
     fn deliver(&mut self, _tenant: usize, _service: usize, _completion: &ne_host::Completion) {}
 
     fn rejected(&mut self, _tenant: usize, _service: usize) {}
+
+    fn begin_segment(&mut self, requests: usize) {
+        self.remaining = self.rows.iter().map(|r| vec![requests; r.len()]).collect();
+    }
+
+    fn move_tenant(&mut self, local: usize, dest: Option<&mut Self>) {
+        // The vacated slot keeps an empty row so later local indices hold.
+        let row = std::mem::take(&mut self.rows[local]);
+        dest.unwrap_or(self).rows.push(row);
+    }
 }
 
-/// [`warmup`] driven from a [`RequestSource`]: serves `setup[t][s]`
-/// requests per live pair (see [`setup_counts`]), drains, and resets the
+/// Serves each live pair's provisioning requests (the leading
+/// [`RequestFactory::setup_requests`] of its stream under `seed`, and at
+/// least one request per service to warm the paths), serving as it goes
+/// so setup never trips the queue bound, then drains and resets the
 /// measurement window. A pair that stalls or ends early gets its whole
 /// tenant shed ([`HostServer::shed_tenant`]) and the tenant's remaining
 /// warmup is skipped — the measured loops then treat it exactly like a
 /// tenant shed at admission.
-pub fn warmup_external(shard: &mut Shard, source: &mut dyn RequestSource, setup: &[Vec<usize>]) {
+pub(crate) fn warmup(shard: &mut Shard, source: &mut dyn RequestSource, seed: u64) {
+    let setup = factories(shard, seed);
     let server = &mut shard.server;
-    'tenants: for (t, counts) in setup.iter().enumerate() {
+    'tenants: for (t, row) in setup.iter().enumerate() {
         if server.tenants()[t].shed {
             continue;
         }
-        for (s, &n) in counts.iter().enumerate() {
-            for _ in 0..n {
+        for (s, factory) in row.iter().enumerate() {
+            for _ in 0..factory.setup_requests().max(1) {
                 match source.pull(t, s) {
                     Pulled::Request(payload) => {
                         assert!(
@@ -282,13 +221,14 @@ pub fn warmup_external(shard: &mut Shard, source: &mut dyn RequestSource, setup:
     server.reset_measurement();
 }
 
-/// [`open_loop_with`] driven from a [`RequestSource`]: the same arrival
-/// schedule, submit and step sequence — arrival stamps come from the
-/// schedule, never from wall clock, so a blocking `pull` cannot perturb
-/// the simulation. Byte-identical to [`open_loop`] for a well-behaved
-/// source; a stalled pair sheds its tenant and its later arrivals are
-/// dropped (the only divergence, and only under client failure).
-pub fn open_loop_external(
+/// Offered-load run over a pre-routed arrival schedule (`(local tenant,
+/// service, at)`): arrivals are submitted on time regardless of
+/// completions, and full queues reject (backpressure). Arrival stamps
+/// come from the schedule, never from wall clock, so a blocking `pull`
+/// cannot perturb the simulation. A stalled pair sheds its tenant and
+/// its later arrivals are dropped. `observe` runs after every server
+/// step (the obs sampler polls here) and only reads. Returns accepted.
+pub(crate) fn open_loop(
     shard: &mut Shard,
     source: &mut dyn RequestSource,
     schedule: &[(usize, usize, u64)],
@@ -303,6 +243,8 @@ pub fn open_loop_external(
     let mut accepted = 0u64;
     let mut i = 0;
     while i < schedule.len() || server.pending() > 0 {
+        // Submit everything that has arrived by the serving clock; when
+        // the server is idle, jump to the next arrival.
         while i < schedule.len() && (schedule[i].2 <= server.now() || server.pending() == 0) {
             let (t, s, at) = schedule[i];
             i += 1;
@@ -335,14 +277,14 @@ pub fn open_loop_external(
     accepted
 }
 
-/// [`closed_loop_with`] driven from a [`RequestSource`]: one in-flight
-/// request per live pair, resubmitted at the completion time of the
-/// previous one. Byte-identical to [`closed_loop`] for a well-behaved
-/// source — the pull on the *specific completed pair's* stream re-imposes
-/// the deterministic order no matter how the transport interleaves
-/// arrivals. A rejected resubmit closes the pair (the client sees a
-/// reject notification); a stalled pair sheds its tenant.
-pub fn closed_loop_external(
+/// Think-time-free closed loop: one in-flight request per live pair,
+/// resubmitted at the completion time of the previous one until the
+/// source reports [`Pulled::Done`]. The pull on the *specific completed
+/// pair's* stream re-imposes the deterministic order no matter how a
+/// transport interleaves arrivals. A rejected resubmit closes the pair
+/// (the client sees a reject notification); a stalled pair sheds its
+/// tenant. `observe` as in [`open_loop`]. Returns accepted.
+pub(crate) fn closed_loop(
     shard: &mut Shard,
     source: &mut dyn RequestSource,
     observe: &mut dyn FnMut(&HostServer),
@@ -355,7 +297,7 @@ pub fn closed_loop_external(
         .collect();
     let mut accepted = 0u64;
     // Prime one in-flight request per live pair, in (tenant, service)
-    // order — the same order the plain loop seeds its clients.
+    // order.
     for (t, row) in open.iter_mut().enumerate() {
         let mut stalled = false;
         for (s, live) in row.iter_mut().enumerate() {
@@ -383,6 +325,8 @@ pub fn closed_loop_external(
             row.iter_mut().for_each(|o| *o = false);
         }
     }
+    // A `None` step under chaos means a request was shed, not that the
+    // queues are dry — keep stepping until pending work is gone.
     while server.pending() > 0 {
         let stepped = server.step().expect("closed-loop step");
         observe(server);
@@ -409,78 +353,6 @@ pub fn closed_loop_external(
             Pulled::Stalled => {
                 server.shed_tenant(c.tenant);
                 open[c.tenant].iter_mut().for_each(|o| *o = false);
-            }
-        }
-    }
-    accepted
-}
-
-/// Think-time-free closed loop: one client per (tenant, service); each
-/// submits its next request at the completion time of its previous one,
-/// `requests` times. Returns accepted.
-pub fn closed_loop(
-    shard: &mut Shard,
-    factories: &mut [Vec<RequestFactory>],
-    requests: usize,
-) -> u64 {
-    closed_loop_with(shard, factories, requests, &mut |_| {})
-}
-
-/// [`closed_loop`] with an observer called after every server step (see
-/// [`open_loop_with`]).
-pub fn closed_loop_with(
-    shard: &mut Shard,
-    factories: &mut [Vec<RequestFactory>],
-    requests: usize,
-    observe: &mut dyn FnMut(&HostServer),
-) -> u64 {
-    let server = &mut shard.server;
-    let mut remaining: Vec<Vec<usize>> = factories
-        .iter()
-        .enumerate()
-        .map(|(t, fs)| {
-            let n = if server.tenants()[t].shed {
-                0
-            } else {
-                requests
-            };
-            vec![n; fs.len()]
-        })
-        .collect();
-    let mut accepted = 0u64;
-    for t in 0..factories.len() {
-        for s in 0..factories[t].len() {
-            if remaining[t][s] > 0 {
-                remaining[t][s] -= 1;
-                let payload = factories[t][s].next_request();
-                if server.submit(t, s, 0, payload).is_accepted() {
-                    accepted += 1;
-                } else {
-                    // Shed (e.g. a tripped breaker under chaos): this
-                    // client stops; reply-or-shed still holds.
-                    remaining[t][s] = 0;
-                }
-            }
-        }
-    }
-    // A `None` step under chaos means a request was shed, not that the
-    // queues are dry — keep stepping until pending work is gone.
-    while server.pending() > 0 {
-        let stepped = server.step().expect("closed-loop step");
-        observe(server);
-        let Some(c) = stepped else {
-            continue;
-        };
-        if remaining[c.tenant][c.service] > 0 {
-            remaining[c.tenant][c.service] -= 1;
-            let payload = factories[c.tenant][c.service].next_request();
-            if server
-                .submit(c.tenant, c.service, c.end, payload)
-                .is_accepted()
-            {
-                accepted += 1;
-            } else {
-                remaining[c.tenant][c.service] = 0;
             }
         }
     }

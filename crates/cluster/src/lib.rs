@@ -17,7 +17,9 @@
 //!    shard, with every tenant's seeding identity pinned to its
 //!    **global** id ([`ne_host::TenantSpec::seed_index`]) so its models,
 //!    datasets, and request streams do not depend on shard layout;
-//! 3. [`Cluster::run_parallel`] drives one shard per OS thread
+//! 3. [`Cluster::run`] drives a [`Scenario`] — closed segments with
+//!    migration barriers, or an open-loop schedule, plus optional chaos
+//!    and observability — on every shard, one shard per OS thread
 //!    (`std::thread::scope` — the servers are `Send`, enforced at
 //!    compile time in `ne-host`);
 //! 4. [`Cluster::merged_metrics`] folds the per-shard
@@ -30,7 +32,8 @@
 //!
 //! Everything tenant-visible is seeded by `(base seed, global tenant
 //! id)`; only shard-local machinery (chaos plans) draws from the
-//! per-shard stream [`shard_seed`]`(seed, shard_id)`. Arrival schedules
+//! per-shard stream `shard_seed(seed ^ CHAOS_SALT, shard_id)` (see
+//! [`shard_seed`], [`CHAOS_SALT`]). Arrival schedules
 //! for the open loop are generated **globally** and then routed
 //! ([`poisson_schedule`]), so a tenant sees the same offered arrival
 //! times at any shard count. The result: under the clean closed-loop
@@ -46,13 +49,15 @@ pub mod cluster;
 pub mod drive;
 pub mod migrate;
 pub mod ring;
+pub mod scenario;
 
-pub use cluster::{Cluster, ClusterConfig, ClusterReport, GlobalTenantReport, Shard};
+pub use cluster::{Cluster, ClusterConfig, ClusterReport, GlobalTenantReport, Shard, CHAOS_SALT};
 pub use drive::{
-    poisson_schedule, setup_counts, standard_specs, FactorySource, Pulled, RequestSource,
-    MEAN_GAP_CYCLES, OPEN_LOOP_SALT,
+    poisson_schedule, standard_specs, FactorySource, Pulled, RequestSource, MEAN_GAP_CYCLES,
+    OPEN_LOOP_SALT,
 };
 pub use migrate::{
     MigrationOutcome, MigrationPolicy, MigrationRecord, MigrationTrigger, PlannedMove,
 };
 pub use ring::{shard_seed, splitmix64, ShardRing};
+pub use scenario::{RunOutput, Scenario, Traffic};

@@ -19,19 +19,19 @@
 //!    dropped (parked requests travel inside the snapshot).
 //!
 //! Migrations only happen at **segment barriers** — points where every
-//! shard has drained — driven by [`Cluster::run_segmented_closed_loop`]
-//! / [`Cluster::run_segmented_closed_loop_observed`]. Three triggers
+//! shard has drained — between the closed segments of a
+//! [`crate::Scenario`] driven by [`Cluster::run`]. Three triggers
 //! compose at a barrier, in deterministic order: planned moves from the
 //! [`MigrationPolicy`], EPC-pressure evacuation, then chaos-injected
 //! requests (`migrate[:period]` in the fault grammar) drained from each
 //! machine via [`ne_sgx::machine::Machine::take_migration_requests`].
 
 use crate::cluster::Cluster;
-use crate::drive;
-use ne_host::{HostError, HostResult, RequestFactory};
-use ne_obs::{Sampler, SamplerConfig, TenantCarry, Timeline};
+use crate::drive::RequestSource;
+use ne_host::{HostError, HostResult};
+use ne_obs::{Sampler, TenantCarry};
 
-/// One planned cross-shard move for a segmented run.
+/// One planned cross-shard move for a segmented closed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedMove {
     /// Fires at the barrier after this segment index (0-based). The
@@ -43,7 +43,7 @@ pub struct PlannedMove {
     pub to_shard: usize,
 }
 
-/// Migration controls for the segmented drivers. The default policy
+/// Migration controls for a segmented closed run. The default policy
 /// performs no planned moves, no EPC evacuation, and still honors
 /// chaos-injected migration requests (they only exist if the fault
 /// plan's grammar asked for `migrate`).
@@ -100,7 +100,7 @@ pub enum MigrationOutcome {
     },
 }
 
-/// One barrier migration, as recorded by the segmented drivers.
+/// One barrier migration, as recorded by [`Cluster::run`].
 #[derive(Debug)]
 pub struct MigrationRecord {
     /// Barrier index (after this segment).
@@ -115,13 +115,10 @@ pub struct MigrationRecord {
     pub outcome: MigrationOutcome,
 }
 
-/// Per-shard driver state the coordinator carries across segments.
-type ShardState = (Vec<Vec<RequestFactory>>, Option<Sampler>);
-
 impl Cluster {
     /// Migrates global tenant `global` from `from_shard` to `to_shard`
     /// on an otherwise idle cluster (no driver running, no samplers
-    /// attached — the segmented drivers handle their own bookkeeping).
+    /// attached — [`Cluster::run`] handles its own bookkeeping).
     /// On a refused adoption the tenant is rolled back onto
     /// `from_shard` and the refusal is reported in the outcome.
     ///
@@ -195,13 +192,14 @@ impl Cluster {
 
     /// [`Cluster::do_migrate`] plus the per-shard driver bookkeeping:
     /// retires the tenant on the source sampler, adopts it on whichever
-    /// shard it landed on, and moves its request-factory row so the
-    /// next segment keeps its payload stream position.
-    fn migrate_for_driver(
+    /// shard it landed on, and moves its request stream
+    /// ([`RequestSource::move_tenant`]) so the next segment keeps its
+    /// payload stream position.
+    pub(crate) fn migrate_for_driver<S: RequestSource>(
         &mut self,
         global: usize,
         to: usize,
-        state: &mut [ShardState],
+        state: &mut [(S, Option<Sampler>)],
     ) -> HostResult<MigrationOutcome> {
         let (from, _) = self.assignment[global];
         let (old_local, outcome) = self.do_migrate(global, to)?;
@@ -216,13 +214,14 @@ impl Cluster {
         if let (Some(sampler), Some(carry)) = (state[landed].1.as_mut(), carry) {
             sampler.adopt_tenant(&self.shards[landed].server, global, carry);
         }
-        let row = std::mem::take(&mut state[from].0[old_local]);
-        state[landed].0.push(row);
-        debug_assert_eq!(
-            state[landed].0.len(),
-            self.shards[landed].server.tenants().len(),
-            "factory rows must track tenant slots"
-        );
+        if landed == from {
+            state[from].0.move_tenant(old_local, None);
+        } else {
+            let [src, dest] = state
+                .get_disjoint_mut([from, landed])
+                .expect("distinct shards");
+            src.0.move_tenant(old_local, Some(&mut dest.0));
+        }
         Ok(outcome)
     }
 
@@ -254,7 +253,7 @@ impl Cluster {
     /// chaos-injected requests (shard order, request order). Each
     /// tenant moves at most once per barrier; machine-side migration
     /// requests are drained here even when they end up skipped.
-    fn barrier_moves(
+    pub(crate) fn barrier_moves(
         &mut self,
         segment: usize,
         policy: &MigrationPolicy,
@@ -315,130 +314,5 @@ impl Cluster {
             }
         }
         moves
-    }
-
-    /// Shared body of the segmented drivers. `obs` attaches one
-    /// sampler per shard and folds the timelines at the end.
-    fn run_segmented(
-        &mut self,
-        segments: &[usize],
-        chaos: Option<(&str, u64)>,
-        policy: &MigrationPolicy,
-        obs: Option<SamplerConfig>,
-    ) -> Result<(u64, Option<Timeline>, Vec<MigrationRecord>), String> {
-        let plans = self.chaos_plans(chaos)?;
-        let seed = self.seed;
-        let mut state: Vec<ShardState> = self.run_parallel_with(plans, |shard, plan| {
-            let mut factories = drive::factories(shard, seed);
-            drive::warmup(shard, &mut factories);
-            if let Some(plan) = plan {
-                shard.server.install_chaos(plan);
-            }
-            let sampler = obs.map(|cfg| Sampler::new(&shard.server, shard.globals.clone(), cfg));
-            (factories, sampler)
-        });
-        let mut accepted = 0u64;
-        let mut log: Vec<MigrationRecord> = Vec::new();
-        for (i, &requests) in segments.iter().enumerate() {
-            let results = self.run_parallel_with(state, |shard, (mut factories, mut sampler)| {
-                let n = match &mut sampler {
-                    Some(sampler) => {
-                        drive::closed_loop_with(shard, &mut factories, requests, &mut |s| {
-                            sampler.poll(s)
-                        })
-                    }
-                    None => drive::closed_loop(shard, &mut factories, requests),
-                };
-                (n, (factories, sampler))
-            });
-            state = Vec::with_capacity(results.len());
-            for (n, shard_state) in results {
-                accepted += n;
-                state.push(shard_state);
-            }
-            if i + 1 == segments.len() {
-                break;
-            }
-            for (global, to, trigger) in self.barrier_moves(i, policy) {
-                let from = self.assignment[global].0;
-                let outcome = self
-                    .migrate_for_driver(global, to, &mut state)
-                    .map_err(|e| format!("migrating tenant {global} to shard {to}: {e}"))?;
-                log.push(MigrationRecord {
-                    segment: i,
-                    global,
-                    from,
-                    trigger,
-                    outcome,
-                });
-            }
-        }
-        let timeline = if obs.is_some() {
-            let samplers: Vec<Sampler> = state
-                .into_iter()
-                .map(|(_, sampler)| sampler.expect("observed run has a sampler per shard"))
-                .collect();
-            let timelines = self.run_parallel_with(samplers, |shard, sampler| {
-                let mut t = sampler.finish(&shard.server);
-                t.rebase_shard(shard.id);
-                t
-            });
-            Some(Timeline::fold(&timelines)?)
-        } else {
-            None
-        };
-        Ok((accepted, timeline, log))
-    }
-
-    /// Drives the closed-loop scenario in segments with migration
-    /// barriers between them: each segment serves `segments[i]`
-    /// requests per (tenant, service) pair on every shard in parallel,
-    /// then — with all shards drained — the barrier executes this
-    /// round's migrations (planned, EPC-pressure, chaos-injected).
-    /// Returns total accepted and the migration log.
-    ///
-    /// Running `[a, b]` with no migrations produces exactly the same
-    /// per-tenant reply bytes as running `[a + b]` — reply streams
-    /// depend only on the factory streams and sealed state, never on
-    /// barrier timing — which is what makes the migration differential
-    /// oracle byte-exact.
-    ///
-    /// # Errors
-    ///
-    /// A malformed chaos spec, or a migration whose rollback failed.
-    pub fn run_segmented_closed_loop(
-        &mut self,
-        segments: &[usize],
-        chaos: Option<(&str, u64)>,
-        policy: &MigrationPolicy,
-    ) -> Result<(u64, Vec<MigrationRecord>), String> {
-        let (accepted, _, log) = self.run_segmented(segments, chaos, policy, None)?;
-        Ok((accepted, log))
-    }
-
-    /// [`Cluster::run_segmented_closed_loop`] with the observability
-    /// plane attached: per-shard samplers ride every segment, migrating
-    /// tenants hand their window cursor to the destination sampler
-    /// ([`ne_obs::Sampler::retire_tenant`] /
-    /// [`ne_obs::Sampler::adopt_tenant`]), and the folded timeline
-    /// carries exactly one totals line per global tenant.
-    ///
-    /// # Errors
-    ///
-    /// A malformed chaos spec, a migration whose rollback failed, or an
-    /// impossible fold.
-    pub fn run_segmented_closed_loop_observed(
-        &mut self,
-        segments: &[usize],
-        chaos: Option<(&str, u64)>,
-        policy: &MigrationPolicy,
-        obs: SamplerConfig,
-    ) -> Result<(u64, Timeline, Vec<MigrationRecord>), String> {
-        let (accepted, timeline, log) = self.run_segmented(segments, chaos, policy, Some(obs))?;
-        Ok((
-            accepted,
-            timeline.expect("observed run folds a timeline"),
-            log,
-        ))
     }
 }

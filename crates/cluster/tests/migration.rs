@@ -14,7 +14,8 @@
 //!   adoption and the tenant resumes on the source shard.
 
 use ne_cluster::{
-    drive, Cluster, ClusterConfig, MigrationOutcome, MigrationPolicy, MigrationTrigger, PlannedMove,
+    drive, Cluster, ClusterConfig, MigrationOutcome, MigrationPolicy, MigrationTrigger,
+    PlannedMove, RunOutput, Scenario, Traffic,
 };
 use ne_host::HostError;
 use ne_obs::SamplerConfig;
@@ -29,6 +30,31 @@ fn build_cluster(shards: usize) -> Cluster {
     let mut cfg = ClusterConfig::new(drive::standard_specs(TENANTS, SERVICES), shards);
     cfg.host.seed = SEED;
     Cluster::build(cfg).expect("cluster build")
+}
+
+/// A closed run of `segments` under `policy`, optionally with chaos.
+fn segmented(segments: &[usize], chaos: Option<&str>, policy: &MigrationPolicy) -> Scenario {
+    Scenario {
+        traffic: Traffic::Closed {
+            segments: segments.to_vec(),
+        },
+        chaos: chaos.map(str::to_string),
+        migration: policy.clone(),
+        obs: None,
+    }
+}
+
+/// Runs `scenario`, returning accepted and the migration log.
+fn run_logged(
+    cluster: &mut Cluster,
+    scenario: &Scenario,
+) -> Result<(u64, Vec<ne_cluster::MigrationRecord>), String> {
+    let RunOutput {
+        accepted,
+        migrations,
+        ..
+    } = cluster.run(scenario)?;
+    Ok((accepted, migrations))
 }
 
 /// The first global tenant placed on `shard`.
@@ -57,15 +83,17 @@ fn move_one(cluster: &Cluster) -> (usize, MigrationPolicy) {
 fn planned_migration_is_byte_invisible_in_the_tenant_export() {
     // Baseline A: the plain unsegmented run.
     let mut plain = build_cluster(2);
-    let plain_accepted = plain.run_closed_loop(6, None).expect("plain run");
+    let plain_accepted = plain.run(&Scenario::closed(6)).expect("plain run").accepted;
     let plain_export = plain.tenants_export();
 
     // Baseline B: segmented, no migrations — segment barriers alone
     // must not change a single tenant-observable byte.
     let mut control = build_cluster(2);
-    let (control_accepted, control_log) = control
-        .run_segmented_closed_loop(&[3, 3], None, &MigrationPolicy::default())
-        .expect("segmented control");
+    let (control_accepted, control_log) = run_logged(
+        &mut control,
+        &segmented(&[3, 3], None, &MigrationPolicy::default()),
+    )
+    .expect("segmented control");
     assert!(control_log.is_empty(), "default policy must not migrate");
     assert_eq!(plain_accepted, control_accepted);
     assert_eq!(
@@ -77,9 +105,8 @@ fn planned_migration_is_byte_invisible_in_the_tenant_export() {
     // The migrated run: one tenant crosses shards mid-run.
     let mut migrated = build_cluster(2);
     let (g, policy) = move_one(&migrated);
-    let (accepted, log) = migrated
-        .run_segmented_closed_loop(&[3, 3], None, &policy)
-        .expect("migrated run");
+    let (accepted, log) =
+        run_logged(&mut migrated, &segmented(&[3, 3], None, &policy)).expect("migrated run");
     assert_eq!(log.len(), 1, "exactly one migration record");
     assert_eq!(log[0].global, g);
     assert_eq!(log[0].from, 0);
@@ -106,20 +133,28 @@ fn planned_migration_is_byte_invisible_in_the_tenant_export() {
 #[test]
 fn observed_migration_run_reconciles_and_drops_nothing() {
     let mut control = build_cluster(2);
-    let (_, control_tl, _) = control
-        .run_segmented_closed_loop_observed(
-            &[3, 3],
-            None,
-            &MigrationPolicy::default(),
-            SamplerConfig::default(),
-        )
-        .expect("observed control");
+    let control_tl = control
+        .run(&Scenario {
+            obs: Some(SamplerConfig::default()),
+            ..segmented(&[3, 3], None, &MigrationPolicy::default())
+        })
+        .expect("observed control")
+        .timeline
+        .expect("observed run folds a timeline");
 
     let mut cluster = build_cluster(2);
     let (g, policy) = move_one(&cluster);
-    let (accepted, timeline, log) = cluster
-        .run_segmented_closed_loop_observed(&[3, 3], None, &policy, SamplerConfig::default())
+    let RunOutput {
+        accepted,
+        timeline,
+        migrations: log,
+    } = cluster
+        .run(&Scenario {
+            obs: Some(SamplerConfig::default()),
+            ..segmented(&[3, 3], None, &policy)
+        })
         .expect("observed migrated run");
+    let timeline = timeline.expect("observed run folds a timeline");
     assert!(matches!(log[0].outcome, MigrationOutcome::Adopted { .. }));
 
     // Exactly one totals line per global tenant, in global order, even
@@ -182,13 +217,15 @@ fn observed_migration_run_reconciles_and_drops_nothing() {
 fn chaos_migrations_are_deterministic_and_lose_nothing() {
     let run = || {
         let mut cluster = build_cluster(2);
-        let (accepted, log) = cluster
-            .run_segmented_closed_loop(
+        let (accepted, log) = run_logged(
+            &mut cluster,
+            &segmented(
                 &[2, 2, 2],
-                Some(("aex+migrate:5", SEED ^ 0xC4A0_5EED)),
+                Some("aex+migrate:5"),
                 &MigrationPolicy::default(),
-            )
-            .expect("chaos migrated run");
+            ),
+        )
+        .expect("chaos migrated run");
         let report = cluster.report();
         assert_eq!(
             report.completed() + report.shed_requests(),
@@ -226,9 +263,8 @@ fn epc_pressure_evacuates_a_tenant_at_the_barrier() {
         moves: Vec::new(),
         epc_low_water: Some(usize::MAX),
     };
-    let (accepted, log) = cluster
-        .run_segmented_closed_loop(&[3, 3], None, &policy)
-        .expect("pressure run");
+    let (accepted, log) =
+        run_logged(&mut cluster, &segmented(&[3, 3], None, &policy)).expect("pressure run");
     assert!(!log.is_empty(), "pressure policy never fired");
     for r in &log {
         assert_eq!(r.trigger, MigrationTrigger::EpcPressure);
@@ -239,7 +275,7 @@ fn epc_pressure_evacuates_a_tenant_at_the_barrier() {
 
     // Still byte-identical to the unmigrated world.
     let mut plain = build_cluster(2);
-    plain.run_closed_loop(6, None).expect("plain run");
+    plain.run(&Scenario::closed(6)).expect("plain run");
     assert_eq!(plain.tenants_export(), cluster.tenants_export());
 }
 
@@ -416,10 +452,8 @@ proptest! {
             epc_low_water: None,
         };
         let spec = format!("aex+migrate:{}", 3 + seg_a);
-        let chaos_spec = chaos.then_some((spec.as_str(), SEED ^ 0x5EED));
-        let (accepted, log) = cluster
-            .run_segmented_closed_loop(&[seg_a, seg_b], chaos_spec, &policy)
-            .map_err(TestCaseError::Fail)?;
+        let scenario = segmented(&[seg_a, seg_b], chaos.then_some(spec.as_str()), &policy);
+        let (accepted, log) = run_logged(&mut cluster, &scenario).map_err(TestCaseError::Fail)?;
         let report = cluster.report();
         prop_assert_eq!(
             report.completed() + report.shed_requests(),
@@ -439,9 +473,7 @@ proptest! {
         }
         // A fixed interleaving is byte-reproducible.
         let mut again = build_cluster(shards);
-        let (accepted2, _) = again
-            .run_segmented_closed_loop(&[seg_a, seg_b], chaos_spec, &policy)
-            .map_err(TestCaseError::Fail)?;
+        let (accepted2, _) = run_logged(&mut again, &scenario).map_err(TestCaseError::Fail)?;
         prop_assert_eq!(accepted, accepted2);
         prop_assert_eq!(export, again.tenants_export());
     }

@@ -9,7 +9,7 @@
 //!   unsharded `HostServer` path — same accepted count, same metrics
 //!   JSON, same export bytes — so every pre-shard baseline stays valid.
 
-use ne_cluster::{drive, Cluster, ClusterConfig};
+use ne_cluster::{drive, Cluster, ClusterConfig, Scenario};
 use ne_host::{HostConfig, HostServer, RequestFactory};
 use ne_obs::SamplerConfig;
 
@@ -27,8 +27,9 @@ fn build_cluster(shards: usize) -> Cluster {
 fn closed_loop_export(shards: usize) -> (u64, String) {
     let mut cluster = build_cluster(shards);
     let accepted = cluster
-        .run_closed_loop(REQUESTS, None)
-        .expect("closed loop");
+        .run(&Scenario::closed(REQUESTS))
+        .expect("closed loop")
+        .accepted;
     let merged = cluster.merged_metrics().expect("merge");
     merged
         .check()
@@ -69,7 +70,7 @@ fn merged_metrics_are_reproducible_and_close_across_shard_counts() {
     let in_enclave = |shards: usize| {
         let mut cluster = build_cluster(shards);
         cluster
-            .run_closed_loop(REQUESTS, None)
+            .run(&Scenario::closed(REQUESTS))
             .expect("closed loop");
         let merged = cluster.merged_metrics().expect("merge");
         let total: u64 = merged
@@ -156,8 +157,9 @@ fn single_shard_cluster_matches_the_unsharded_path() {
     // The one-shard cluster path.
     let mut cluster = build_cluster(1);
     let cluster_accepted = cluster
-        .run_closed_loop(REQUESTS, None)
-        .expect("closed loop");
+        .run(&Scenario::closed(REQUESTS))
+        .expect("closed loop")
+        .accepted;
     let merged = cluster.merged_metrics().expect("merge");
 
     assert_eq!(accepted, cluster_accepted, "accepted count differs");
@@ -176,7 +178,10 @@ fn open_loop_offered_schedule_is_shard_count_invariant() {
     // with a valid reply on every shard count.
     for shards in [1usize, 3] {
         let mut cluster = build_cluster(shards);
-        let accepted = cluster.run_open_loop(REQUESTS, None).expect("open loop");
+        let accepted = cluster
+            .run(&Scenario::open(REQUESTS))
+            .expect("open loop")
+            .accepted;
         let report = cluster.report();
         assert_eq!(report.sched.invariant_violations, 0);
         assert_eq!(
@@ -199,8 +204,12 @@ fn chaos_runs_are_deterministic_per_shard_count() {
     let run = |shards: usize| {
         let mut cluster = build_cluster(shards);
         let accepted = cluster
-            .run_closed_loop(REQUESTS, Some(("aex+evict", SEED ^ 0xC4A0_5EED)))
-            .expect("chaos closed loop");
+            .run(&Scenario {
+                chaos: Some("aex+evict".to_string()),
+                ..Scenario::closed(REQUESTS)
+            })
+            .expect("chaos closed loop")
+            .accepted;
         let report = cluster.report();
         assert_eq!(
             report.completed() + report.shed_requests(),
@@ -221,12 +230,25 @@ fn chaos_runs_are_deterministic_per_shard_count() {
 
 /// One observed closed-loop run: accepted count plus the `ne-obs/v1`
 /// export of the folded timeline.
-fn observed_export(shards: usize, chaos: Option<(&str, u64)>) -> (u64, String) {
+fn observed_export(shards: usize, chaos: Option<&str>) -> (u64, String) {
     let mut cluster = build_cluster(shards);
-    let (accepted, timeline) = cluster
-        .run_closed_loop_observed(REQUESTS, chaos, SamplerConfig::default())
+    let out = cluster
+        .run(&observed_scenario(chaos))
         .expect("observed closed loop");
-    (accepted, ne_obs::to_jsonl(&timeline, "shard-invariance"))
+    let timeline = out.timeline.expect("observed run folds a timeline");
+    (
+        out.accepted,
+        ne_obs::to_jsonl(&timeline, "shard-invariance"),
+    )
+}
+
+/// The closed-loop scenario with the default sampler attached.
+fn observed_scenario(chaos: Option<&str>) -> Scenario {
+    Scenario {
+        chaos: chaos.map(str::to_string),
+        obs: Some(SamplerConfig::default()),
+        ..Scenario::closed(REQUESTS)
+    }
 }
 
 #[test]
@@ -234,7 +256,7 @@ fn timeline_export_is_reproducible_under_chaos() {
     // The full timeline — cycle-bearing windows, injections, recoveries,
     // SLO states, incidents — must be byte-reproducible at a fixed shard
     // count, chaos included.
-    let chaos = Some(("aex+evict", SEED ^ 0xC4A0_5EED));
+    let chaos = Some("aex+evict");
     let (a1, e1) = observed_export(2, chaos);
     let (a2, e2) = observed_export(2, chaos);
     assert_eq!(a1, a2, "accepted count not reproducible");
@@ -281,13 +303,17 @@ fn observed_runs_leave_the_simulation_untouched() {
     // accepted count and per-tenant export as the plain run, and the
     // timeline totals must reconcile with the merged metrics.
     let mut plain = build_cluster(2);
-    let plain_accepted = plain.run_closed_loop(REQUESTS, None).expect("closed loop");
+    let plain_accepted = plain
+        .run(&Scenario::closed(REQUESTS))
+        .expect("closed loop")
+        .accepted;
     let plain_export = plain.tenants_export();
 
     let mut observed = build_cluster(2);
-    let (accepted, timeline) = observed
-        .run_closed_loop_observed(REQUESTS, None, SamplerConfig::default())
+    let out = observed
+        .run(&observed_scenario(None))
         .expect("observed closed loop");
+    let (accepted, timeline) = (out.accepted, out.timeline.expect("timeline"));
     assert_eq!(plain_accepted, accepted, "observation changed acceptance");
     assert_eq!(
         plain_export,
@@ -308,7 +334,7 @@ fn observed_runs_leave_the_simulation_untouched() {
 fn replies_check_against_fresh_global_factories() {
     let mut cluster = build_cluster(3);
     cluster
-        .run_closed_loop(REQUESTS, None)
+        .run(&Scenario::closed(REQUESTS))
         .expect("closed loop");
     let specs = drive::standard_specs(TENANTS, SERVICES);
     let mut checked = 0usize;

@@ -57,7 +57,7 @@ fn run_closed_loop(
     server.drain().expect("warmup drain");
     server.reset_measurement();
     if let Some(spec) = chaos {
-        let plan = FaultPlan::parse(spec, seed ^ 0xC4A0_5EED).expect("chaos spec");
+        let plan = FaultPlan::parse(spec, seed ^ ne_cluster::CHAOS_SALT).expect("chaos spec");
         server.install_chaos(plan);
     }
     let mut sampler = Sampler::new(

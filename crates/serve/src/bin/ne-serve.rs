@@ -17,12 +17,15 @@
 //! `--tls`, `--read-timeout-ms N` (default 5000), `--accept-timeout-ms
 //! N` (default 30000), `--addr-out <path>` (writes the bound address
 //! once listening, so scripts can use an ephemeral port); exports:
-//! `--tenants-out`, `--metrics-out`, `--timeline-out`.
+//! `--tenants-out`, `--metrics-out`, `--timeline-out`. A malformed
+//! `--mode` or `--chaos` prints one `error: …` line and exits with
+//! status 2.
 
 use std::time::Duration;
 
 use ne_serve::oracle::run_oracle;
 use ne_serve::{FrontDoor, Mode, ServeConfig, ServeOutcome};
+use ne_sgx::fault::FaultPlan;
 
 fn flag_str(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -36,6 +39,12 @@ fn flag_u64(name: &str) -> Option<u64> {
         v.parse()
             .unwrap_or_else(|_| panic!("{name} expects a number, got '{v}'"))
     })
+}
+
+/// Reports a malformed command line on stderr and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 fn write_out(flag: &str, payload: &str) {
@@ -56,11 +65,18 @@ fn config() -> ServeConfig {
     cfg.mode = match flag_str("--mode").as_deref().unwrap_or("closed") {
         "closed" => Mode::Closed,
         "open" => Mode::Open,
-        other => panic!("--mode expects closed|open, got '{other}'"),
+        other => usage_error(&format!("--mode expects closed|open, got '{other}'")),
     };
     cfg.switchless = !std::env::args().any(|a| a == "--no-switchless");
     cfg.tls = std::env::args().any(|a| a == "--tls");
     cfg.chaos = flag_str("--chaos");
+    if let Some(spec) = &cfg.chaos {
+        // The grammar does not depend on the seed; parse once up front so
+        // a typo is a usage error, not a failure after clients connected.
+        if let Err(e) = FaultPlan::parse(spec, cfg.seed) {
+            usage_error(&format!("--chaos: {e}"));
+        }
+    }
     cfg.window = flag_u64("--window");
     if let Some(ms) = flag_u64("--read-timeout-ms") {
         cfg.read_timeout = Duration::from_millis(ms);

@@ -1,14 +1,10 @@
 //! The in-process oracle: the same scenario a [`crate::FrontDoor`]
-//! serves, run entirely through the existing [`ne_cluster::Cluster`]
-//! drive loops with no socket anywhere. Byte-for-byte, its three exports
-//! are what the wire run must produce — the headline invariant of this
-//! crate, asserted by the `wire_oracle` integration test and CI's
-//! `serve-smoke` job.
-
-use ne_obs::SamplerConfig;
+//! serves, run through [`ne_cluster::Cluster::run`] with no socket
+//! anywhere. Byte-for-byte, its three exports are what the wire run must
+//! produce — the headline invariant of this crate, asserted by the
+//! `wire_oracle` integration test and CI's `serve-smoke` job.
 
 use crate::server::{build_cluster, finish_outcome, ServeConfig, ServeOutcome};
-use crate::Mode;
 
 /// Runs the scenario in-process and returns the exports a conforming
 /// wire run must match byte for byte. Only the scenario fields of `cfg`
@@ -22,27 +18,6 @@ use crate::Mode;
 /// invariants.
 pub fn run_oracle(cfg: &ServeConfig) -> Result<ServeOutcome, String> {
     let mut cluster = build_cluster(cfg)?;
-    let label = format!("ne-serve-{}", cfg.mode.name());
-    let chaos_base = cfg.seed ^ crate::CHAOS_SALT;
-    let chaos: Option<(&str, u64)> = cfg.chaos.as_deref().map(|spec| (spec, chaos_base));
-    let (accepted, timeline) = match (cfg.mode, cfg.window) {
-        (Mode::Closed, None) => (cluster.run_closed_loop(cfg.requests, chaos)?, None),
-        (Mode::Open, None) => (cluster.run_open_loop(cfg.requests, chaos)?, None),
-        (Mode::Closed, Some(w)) => {
-            let (a, t) = cluster.run_closed_loop_observed(cfg.requests, chaos, obs(w))?;
-            (a, Some(t))
-        }
-        (Mode::Open, Some(w)) => {
-            let (a, t) = cluster.run_open_loop_observed(cfg.requests, chaos, obs(w))?;
-            (a, Some(t))
-        }
-    };
-    finish_outcome(&cluster, accepted, timeline, &label)
-}
-
-fn obs(window: u64) -> SamplerConfig {
-    SamplerConfig {
-        window_cycles: window.max(1),
-        ..SamplerConfig::default()
-    }
+    let out = cluster.run(&cfg.run_scenario())?;
+    finish_outcome(&cluster, out, cfg)
 }

@@ -1,9 +1,10 @@
 //! The [`FrontDoor`]: a blocking accept loop that maps connections onto
-//! (tenant, service) pairs, then a serve loop that feeds decoded
-//! request frames through the existing admission/scheduler path via
-//! [`ne_cluster::drive::closed_loop_external`] /
-//! [`ne_cluster::drive::open_loop_external`], stepping the simulated
-//! machine between socket polls.
+//! (tenant, service) pairs, then one [`ne_cluster::Cluster::run_with_sources`]
+//! call that feeds decoded request frames through the existing
+//! admission/scheduler path, stepping the simulated machine between
+//! socket polls — the same drive body as the in-process oracle, with a
+//! socket-backed [`ne_cluster::RequestSource`] in place of the factory
+//! one.
 //!
 //! Determinism over a nondeterministic transport: the drive loops pull
 //! each payload with a **blocking read on the specific pair's
@@ -20,14 +21,13 @@
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use ne_cluster::{drive, shard_seed, Cluster, ClusterConfig, ClusterReport};
+use ne_cluster::{drive, Cluster, ClusterConfig, ClusterReport, RunOutput};
 use ne_host::Completion;
-use ne_obs::{Sampler, SamplerConfig, Timeline};
-use ne_sgx::fault::FaultPlan;
+use ne_obs::SamplerConfig;
 
 use crate::conn::{ConnError, FramedConn};
 use crate::frame::{Frame, FrameKind};
-use crate::{session, Mode, Scenario, WireCompletion, CHAOS_SALT};
+use crate::{session, Mode, Scenario, WireCompletion};
 
 /// Front-door configuration: the scenario plus wire-level knobs.
 #[derive(Debug, Clone)]
@@ -48,8 +48,8 @@ pub struct ServeConfig {
     /// connect, rollback offers refused on the wire).
     pub tls: bool,
     /// Chaos spec installed after warmup (see
-    /// [`ne_sgx::fault::FaultPlan::parse`]), seeded exactly like
-    /// `ne-load --chaos`.
+    /// [`ne_sgx::fault::FaultPlan::parse`]), seeded from the cluster
+    /// seed exactly like `ne-load --chaos`.
     pub chaos: Option<String>,
     /// Collect an `ne-obs/v1` timeline with this window length.
     pub window: Option<u64>,
@@ -78,6 +78,23 @@ impl ServeConfig {
             window: None,
             read_timeout: Duration::from_secs(5),
             accept_timeout: Duration::from_secs(30),
+        }
+    }
+
+    /// The cluster run this config describes (the wire path and the
+    /// oracle share it, so they cannot drift).
+    pub(crate) fn run_scenario(&self) -> ne_cluster::Scenario {
+        let base = match self.mode {
+            Mode::Closed => ne_cluster::Scenario::closed(self.requests),
+            Mode::Open => ne_cluster::Scenario::open(self.requests),
+        };
+        ne_cluster::Scenario {
+            chaos: self.chaos.clone(),
+            obs: self.window.map(|w| SamplerConfig {
+                window_cycles: w.max(1),
+                ..SamplerConfig::default()
+            }),
+            ..base
         }
     }
 
@@ -124,9 +141,8 @@ pub(crate) fn build_cluster(cfg: &ServeConfig) -> Result<Cluster, String> {
 /// reply-or-shed holds, the metrics identities check out).
 pub(crate) fn finish_outcome(
     cluster: &Cluster,
-    accepted: u64,
-    timeline: Option<Timeline>,
-    label: &str,
+    out: RunOutput,
+    cfg: &ServeConfig,
 ) -> Result<ServeOutcome, String> {
     let report = cluster.report();
     if report.sched.invariant_violations > 0 {
@@ -145,12 +161,13 @@ pub(crate) fn finish_outcome(
     }
     let metrics = cluster.merged_metrics()?;
     metrics.check()?;
+    let label = format!("ne-serve-{}", cfg.mode.name());
     Ok(ServeOutcome {
-        accepted,
+        accepted: out.accepted,
         report,
         tenants_export: cluster.tenants_export(),
         metrics_json: metrics.to_json(),
-        timeline_jsonl: timeline.map(|t| ne_obs::to_jsonl(&t, label)),
+        timeline_jsonl: out.timeline.map(|t| ne_obs::to_jsonl(&t, &label)),
     })
 }
 
@@ -315,65 +332,18 @@ impl FrontDoor {
         let cfg = self.cfg;
         let mut cluster = build_cluster(&cfg)?;
         let conns = accept_pairs(&self.listener, &cfg)?;
-        let label = format!("ne-serve-{}", cfg.mode.name());
-
-        let shard = &mut cluster.shards_mut()[0];
         // A tenant missing any pair cannot play the scenario: shed it up
         // front, exactly like a tenant shed at admission.
+        let server = &mut cluster.shards_mut()[0].server;
         for (t, pairs) in conns.iter().enumerate() {
             if pairs.iter().any(|c| c.is_none()) {
-                shard.server.shed_tenant(t);
+                server.shed_tenant(t);
             }
         }
-        let setup = drive::setup_counts(&drive::factories(shard, cfg.seed));
-        let mut source = WireSource::new(conns);
-        drive::warmup_external(shard, &mut source, &setup);
-        if let Some(spec) = &cfg.chaos {
-            let plan = FaultPlan::parse(spec, shard_seed(cfg.seed ^ CHAOS_SALT, shard.id))
-                .map_err(|e| format!("--chaos: {e}"))?;
-            shard.server.install_chaos(plan);
-        }
-        let mut sampler = cfg.window.map(|w| {
-            Sampler::new(
-                &shard.server,
-                shard.globals.clone(),
-                SamplerConfig {
-                    window_cycles: w.max(1),
-                    ..SamplerConfig::default()
-                },
-            )
-        });
-        let mut observe = |s: &ne_host::server::HostServer| {
-            if let Some(smp) = sampler.as_mut() {
-                smp.poll(s);
-            }
-        };
-        let accepted = match cfg.mode {
-            Mode::Closed => drive::closed_loop_external(shard, &mut source, &mut observe),
-            Mode::Open => {
-                // One shard: global pair ids are the local ones, and the
-                // globally generated schedule routes to it unchanged.
-                let pairs: Vec<(usize, usize)> = shard
-                    .server
-                    .tenants()
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(t, ts)| (0..ts.spec.services.len()).map(move |s| (t, s)))
-                    .collect();
-                let schedule = drive::poisson_schedule(&pairs, cfg.requests, cfg.seed);
-                drive::open_loop_external(shard, &mut source, &schedule, &mut observe)
-            }
-        };
-        let timeline = match sampler {
-            Some(smp) => {
-                let mut t = smp.finish(&shard.server);
-                t.rebase_shard(shard.id);
-                Some(Timeline::fold(std::slice::from_ref(&t))?)
-            }
-            None => None,
-        };
-        source.finish();
-        finish_outcome(&cluster, accepted, timeline, &label)
+        let (out, mut sources) =
+            cluster.run_with_sources(&cfg.run_scenario(), vec![WireSource::new(conns)])?;
+        sources.iter_mut().for_each(WireSource::finish);
+        finish_outcome(&cluster, out, &cfg)
     }
 }
 
