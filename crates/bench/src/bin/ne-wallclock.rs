@@ -38,9 +38,9 @@
 //! `--shards <n>` / `--min-shard-speedup <x>` as above, and
 //! `--bench-out <path>` writes an `ne-bench/v1` document whose leaves
 //! are the deterministic cycle totals plus the (noisy) wall times and
-//! the optimized/reference ratio — compare against
-//! `results/baselines/BENCH_wallclock.json` (or
-//! `BENCH_wallclock_shards.json` for `--shards` runs) with
+//! the optimized/reference ratio — compare a `--shards 4` run against
+//! `results/baselines/BENCH_wallclock.json` (the one wall-clock
+//! baseline: closed-loop, echo and shard-scale rows) with
 //! `ne-bench-compare --advisory` and a generous threshold.
 //!
 //! `--timeline-out <path>` runs the closed-loop scenario once more on

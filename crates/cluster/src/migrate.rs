@@ -245,7 +245,8 @@ impl Cluster {
     fn migratable(&self, global: usize) -> bool {
         let (s, l) = self.assignment[global];
         let server = &self.shards[s].server;
-        server.tenants()[l].loaded && !server.recovery_states()[l].breaker_open
+        let t = &server.tenants()[l];
+        t.loaded && !t.recovery.breaker_open
     }
 
     /// Collects this barrier's moves in deterministic order: planned

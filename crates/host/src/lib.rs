@@ -12,7 +12,9 @@
 //!
 //! The moving parts:
 //!
-//! * [`tenant`] — tenant specs, bounded request queues, traffic counters;
+//! * [`tenant`] — tenant specs and [`tenant::TenantState`], the one
+//!   per-tenant record (queue, traffic counters, recovery history,
+//!   attestation verdict, seal counter);
 //! * [`service`] — the three inner-enclave service adapters (mini-TLS
 //!   echo, SQL/YCSB, SVM inference) and the matching client-side
 //!   [`service::RequestFactory`];

@@ -45,24 +45,23 @@
 //! terminate as explicit sheds — `accepted == completed + shed_requests`
 //! holds through any interleaving of migration and chaos.
 
-use std::collections::BTreeMap;
-
-use ne_core::lifecycle::{attest_chain, AttestError};
+use ne_core::lifecycle::AttestError;
 use ne_sgx::error::SgxError;
 
 use crate::error::{HostError, HostResult};
 use crate::recovery::{backoff_cycles, MigratePhase, RecoveryEventKind, RecoveryState, ShedReason};
-use crate::server::{gate_dispatch, gate_image, tenant_epc_pages, HostServer};
+use crate::server::{tenant_epc_pages, HostServer};
 use crate::service::{
-    decode_restore_reply, encode_restore_args, encode_seal_args, install_service,
-    service_enclave_name, RestoreOutcome, ServiceKind,
+    decode_restore_reply, encode_restore_args, encode_seal_args, service_enclave_name,
+    RestoreOutcome, ServiceKind,
 };
 use crate::tenant::{Completion, Request, TenantSpec, TenantState};
 
-/// Everything one tenant is, portable across hosts: spec, traffic
-/// counters, parked requests, sealed per-service state, and recovery
-/// history. Produced by [`HostServer::extract_tenant`], consumed by
-/// [`HostServer::adopt_tenant`] / [`HostServer::rollback_tenant`].
+/// Everything one tenant is, portable across hosts: the tenant's record
+/// minus its queue, plus the parked requests, sealed per-service state
+/// and completion records. Produced by [`HostServer::extract_tenant`],
+/// consumed by [`HostServer::adopt_tenant`] /
+/// [`HostServer::rollback_tenant`].
 ///
 /// The snapshot is plain data — the sealed blobs inside it are opaque to
 /// the host (MACed under keys derived inside the enclaves), so carrying
@@ -70,29 +69,14 @@ use crate::tenant::{Completion, Request, TenantSpec, TenantState};
 /// restore.
 #[derive(Debug, Clone)]
 pub struct TenantSnapshot {
-    /// The tenant's spec, including its pinned seeding identity
-    /// ([`TenantSpec::seed_index`]) — which is what lets the rebuilt
-    /// enclaves on the target derive the same seal key and accept the
-    /// blobs.
-    pub spec: TenantSpec,
-    /// Whether the tenant was shed at extraction time (carried, so a
-    /// pressure-shed tenant does not silently un-shed by migrating).
-    pub shed: bool,
-    /// Requests accepted by admission control so far.
-    pub accepted: u64,
-    /// Rejections due to a full queue.
-    pub rejected_full: u64,
-    /// Rejections due to shedding.
-    pub rejected_shed: u64,
-    /// Requests served to completion.
-    pub completed: u64,
-    /// Accepted requests explicitly shed (including any quiesce
-    /// overflow shed by the extraction itself).
-    pub shed_requests: u64,
-    /// Next per-tenant sequence number to assign.
-    pub next_seq: u64,
-    /// Highest completed sequence number, if any.
-    pub last_completed_seq: Option<u64>,
+    /// The tenant's record with an empty queue: traffic counters (quiesce
+    /// overflow sheds included), sequence numbers, shed flag (carried, so
+    /// a pressure-shed tenant does not silently un-shed by migrating),
+    /// respawn history and attestation-refusal counts. Its spec carries
+    /// the pinned seeding identity ([`TenantSpec::seed_index`]), which is
+    /// what lets the rebuilt enclaves on the target derive the same seal
+    /// key and accept the blobs.
+    pub state: TenantState,
     /// Requests that were queued at quiesce, parked for the target to
     /// re-queue at resume. Bounded by
     /// [`crate::recovery::RecoveryPolicy::migrate_park_capacity`].
@@ -105,11 +89,6 @@ pub struct TenantSnapshot {
     /// The tenant's completion records (copied, with source-local tenant
     /// indices), so per-tenant reply digests stay whole across the move.
     pub completions: Vec<Completion>,
-    /// Cumulative respawns (carried into the target's recovery state).
-    pub respawns: u64,
-    /// Typed attestation-refusal history, keyed by
-    /// [`AttestError::name`].
-    pub attest_failures: BTreeMap<&'static str, u64>,
 }
 
 impl HostServer {
@@ -134,12 +113,8 @@ impl HostServer {
         tenant: usize,
         counter: u64,
     ) -> HostResult<Vec<(ServiceKind, Vec<u8>)>> {
-        let Some(core) = self.idle_core() else {
-            return Err(HostError::Sgx(SgxError::GeneralProtection(
-                "no serving core out of enclave mode for seal".into(),
-            )));
-        };
-        let identity = spec.seed_index.unwrap_or(tenant) as u64;
+        let core = self.idle_core("seal")?;
+        let identity = spec.identity(tenant) as u64;
         let args = encode_seal_args(identity, counter);
         spec.services
             .iter()
@@ -170,7 +145,7 @@ impl HostServer {
                 "no loaded tenant at index {tenant}"
             )));
         }
-        if self.recovery[tenant].breaker_open {
+        if self.tenants[tenant].recovery.breaker_open {
             return Err(HostError::BadRequest(format!(
                 "tenant {tenant} has an open breaker; migration needs healthy enclaves"
             )));
@@ -180,7 +155,7 @@ impl HostServer {
         // assigns a fresh local index, and the rebuilt enclaves must
         // derive the *original* identity's seal key or the blobs will
         // never authenticate.
-        spec.seed_index = Some(spec.seed_index.unwrap_or(tenant));
+        spec.seed_index = Some(spec.identity(tenant));
 
         // Quiesce: park the queue, bounded; overflow terminates as
         // explicit sheds (the requests were accepted — they must be
@@ -213,7 +188,7 @@ impl HostServer {
             tenant,
             RecoveryEventKind::Migrate(MigratePhase::Seal),
         );
-        let counter = self.seal_counters[tenant] + 1;
+        let counter = self.tenants[tenant].seal_counter + 1;
         let sealed = match self.seal_services(&spec, tenant, counter) {
             Ok(sealed) => sealed,
             Err(e) => {
@@ -226,7 +201,7 @@ impl HostServer {
             self.tenants[tenant].queue = parked.into_iter().collect();
             return Err(e);
         }
-        self.seal_counters[tenant] = counter;
+        self.tenants[tenant].seal_counter = counter;
 
         // Remove: EREMOVE services first, gate last; EPC pages free here.
         let remove_start = self.now();
@@ -235,10 +210,8 @@ impl HostServer {
             tenant,
             RecoveryEventKind::Migrate(MigratePhase::Remove),
         );
-        let mut names = self.tenant_enclave_names(tenant);
-        names.reverse();
-        for name in names {
-            self.app.unload(&name)?;
+        for name in spec.enclave_names().iter().rev() {
+            self.app.unload(name)?;
         }
 
         let completions: Vec<Completion> = self
@@ -247,44 +220,20 @@ impl HostServer {
             .filter(|c| c.tenant == tenant)
             .cloned()
             .collect();
-        let respawns = self.recovery[tenant].respawns;
-        let attest_failures = std::mem::take(&mut self.attest_failures[tenant]);
-        let snap = {
-            let ts = &self.tenants[tenant];
-            TenantSnapshot {
-                spec,
-                shed: ts.shed,
-                accepted: ts.accepted,
-                rejected_full: ts.rejected_full,
-                rejected_shed: ts.rejected_shed,
-                completed: ts.completed,
-                shed_requests: ts.shed_requests,
-                next_seq: ts.next_seq,
-                last_completed_seq: ts.last_completed_seq,
-                parked,
-                sealed,
-                seal_counter: counter,
-                completions,
-                respawns,
-                attest_failures,
-            }
-        };
-        // Freeze the slot: a dead stub that rejects at the front door and
-        // contributes nothing to reports (its counters travel inside the
-        // snapshot; leaving them here would double-count after a
-        // same-host round trip).
-        let ts = &mut self.tenants[tenant];
-        ts.loaded = false;
-        ts.shed = true;
-        ts.accepted = 0;
-        ts.rejected_full = 0;
-        ts.rejected_shed = 0;
-        ts.completed = 0;
-        ts.shed_requests = 0;
-        ts.next_seq = 0;
-        ts.last_completed_seq = None;
-        self.attested[tenant] = false;
-        Ok(snap)
+        // Take the record out and leave a dead stub that rejects at the
+        // front door and contributes nothing to reports (the counters
+        // travel inside the snapshot; leaving them here would
+        // double-count after a same-host round trip).
+        let stub = TenantState::new(self.tenants[tenant].spec.clone(), false);
+        let mut state = std::mem::replace(&mut self.tenants[tenant], stub);
+        state.spec = spec;
+        Ok(TenantSnapshot {
+            state,
+            parked,
+            sealed,
+            seal_counter: counter,
+            completions,
+        })
     }
 
     /// Adopts an extracted tenant on this host: rebuilds its enclaves
@@ -334,14 +283,14 @@ impl HostServer {
         floor: u64,
         rollback: bool,
     ) -> HostResult<usize> {
-        let spec = snap.spec.clone();
+        let spec = &snap.state.spec;
         if self.app.eid(&spec.gate_name()).is_ok() {
             return Err(HostError::BadRequest(format!(
                 "enclaves named for tenant {} already exist on this host",
                 spec.name
             )));
         }
-        let need = tenant_epc_pages(&spec);
+        let need = tenant_epc_pages(spec);
         let headroom = if rollback {
             0
         } else {
@@ -363,203 +312,85 @@ impl HostServer {
         // Rebuild + NASSO, retried with deterministic backoff on
         // transient faults (chaos can land on the very loads that are
         // supposed to receive the migrated state).
-        let identity = spec.seed_index.unwrap_or(local);
         let mut attempt: u32 = 0;
-        loop {
-            match self.build_tenant_enclaves(&spec, identity, local) {
-                Ok(()) => break,
-                Err(source) => {
-                    attempt += 1;
-                    if attempt >= self.policy.max_attempts {
-                        return Err(HostError::Respawn {
-                            tenant: spec.name.clone(),
-                            source,
-                        });
-                    }
-                    let wait =
-                        backoff_cycles(&self.policy, self.seed, local, snap.seal_counter, attempt);
-                    let now = self.now();
-                    self.log_event_at(now, local, RecoveryEventKind::Backoff { wait });
-                    if let Some(core) = self.idle_core() {
-                        self.app.untrusted(core, |cx| cx.charge(wait));
-                    }
-                }
+        while let Err(source) = self.load_tenant(spec, local) {
+            attempt += 1;
+            if attempt >= self.policy.max_attempts {
+                return Err(HostError::Respawn {
+                    tenant: spec.name.clone(),
+                    source,
+                });
+            }
+            let wait = backoff_cycles(&self.policy, self.seed, local, snap.seal_counter, attempt);
+            let now = self.now();
+            self.log_event_at(now, local, RecoveryEventKind::Backoff { wait });
+            if let Ok(core) = self.idle_core("backoff") {
+                self.app.untrusted(core, |cx| cx.charge(wait));
             }
         }
 
         // Attest + restore; any failure from here tears the rebuilt
         // enclaves down so the target stays clean for a rollback.
         let min_counter = floor.max(snap.seal_counter);
-        if let Err(e) = self.finish_adoption(
-            &spec,
-            identity as u64,
-            snap,
-            min_counter,
-            phase,
-            rebuild_start,
-            local,
-        ) {
-            self.teardown_enclaves(&spec);
-            return Err(e);
-        }
-
-        // Commit: the tenant exists on this host from here on.
-        let mut ts = TenantState::new(spec.clone(), true);
-        ts.shed = snap.shed;
-        ts.accepted = snap.accepted;
-        ts.rejected_full = snap.rejected_full;
-        ts.rejected_shed = snap.rejected_shed;
-        ts.completed = snap.completed;
-        ts.shed_requests = snap.shed_requests;
-        ts.next_seq = snap.next_seq;
-        ts.last_completed_seq = snap.last_completed_seq;
-        for r in &snap.parked {
-            let mut r = r.clone();
-            r.tenant = local;
-            ts.queue.push_back(r);
-        }
-        self.tenants.push(ts);
-        self.sched.add_tenant(local);
-        self.recovery.push(RecoveryState {
-            respawns: snap.respawns,
-            ..RecoveryState::default()
-        });
-        self.breaker_logged.push(false);
-        self.attested.push(true);
-        self.attest_failures.push(snap.attest_failures.clone());
-        self.attest_epoch.push(1);
-        self.seal_counters.push(snap.seal_counter);
-        for c in &snap.completions {
-            let mut c = c.clone();
-            c.tenant = local;
-            self.completions.push(c);
-        }
-        Ok(local)
-    }
-
-    /// Loads the gate and service enclaves for an adoption, registering
-    /// their eids under `local`. On failure everything partially built is
-    /// torn down before the error returns.
-    fn build_tenant_enclaves(
-        &mut self,
-        spec: &TenantSpec,
-        identity: usize,
-        local: usize,
-    ) -> Result<(), SgxError> {
-        let gate_name = spec.gate_name();
-        let names: Vec<String> = spec
-            .services
-            .iter()
-            .map(|&k| service_enclave_name(&spec.name, k))
-            .collect();
-        let mut result = self
-            .app
-            .load(
-                gate_image(&gate_name),
-                [(
-                    "dispatch".to_string(),
-                    gate_dispatch(
-                        names,
-                        self.switchless_handle.clone(),
-                        self.degraded_replies.clone(),
-                    ),
-                )],
-            )
-            .map(|_| ());
-        if result.is_ok() {
-            for &kind in &spec.services {
-                result = install_service(
-                    &mut self.app,
-                    &spec.name,
-                    &gate_name,
-                    identity,
-                    kind,
-                    self.seed,
-                );
-                if result.is_err() {
-                    break;
-                }
-            }
-        }
-        if let Err(e) = result {
+        let finished = self
+            .phase_guard(&spec.name, phase, rebuild_start)
+            .and_then(|()| self.finish_adoption(snap, min_counter, local));
+        if let Err(e) = finished {
             self.teardown_enclaves(spec);
             return Err(e);
         }
-        for name in self.tenant_names_of(spec) {
-            if let Ok(eid) = self.app.eid(&name) {
-                self.eid_owner.insert(eid.0, local);
-            }
-        }
-        Ok(())
-    }
 
-    /// Gate-first enclave names of a spec (the adoption path cannot use
-    /// [`HostServer::tenant_enclave_names`] — the slot does not exist
-    /// yet).
-    fn tenant_names_of(&self, spec: &TenantSpec) -> Vec<String> {
-        let mut names = vec![spec.gate_name()];
-        names.extend(
-            spec.services
-                .iter()
-                .map(|&k| service_enclave_name(&spec.name, k)),
-        );
-        names
-    }
-
-    /// Unloads whatever subset of the spec's enclaves exists, ignoring
-    /// errors (cleanup of a partial build).
-    fn teardown_enclaves(&mut self, spec: &TenantSpec) {
-        let mut names = self.tenant_names_of(spec);
-        names.reverse();
-        for name in names {
-            if self.app.eid(&name).is_ok() {
-                let _ = self.app.unload(&name);
-            }
-        }
+        // Commit: the tenant exists on this host from here on, with a
+        // fresh respawn window, a closed breaker and a proven chain.
+        let mut ts = snap.state.clone();
+        ts.loaded = true;
+        ts.queue = snap
+            .parked
+            .iter()
+            .cloned()
+            .map(|r| Request { tenant: local, ..r })
+            .collect();
+        ts.recovery = RecoveryState {
+            respawns: ts.recovery.respawns,
+            ..RecoveryState::default()
+        };
+        ts.breaker_logged = false;
+        ts.attested = true;
+        ts.attest_epoch = 1;
+        ts.seal_counter = snap.seal_counter;
+        self.tenants.push(ts);
+        self.sched.add_tenant(local);
+        let carried = snap.completions.iter().cloned();
+        self.completions
+            .extend(carried.map(|c| Completion { tenant: local, ..c }));
+        Ok(local)
     }
 
     /// The attest-and-restore tail of an adoption, separated so every
     /// error path funnels through one teardown in the caller.
-    #[allow(clippy::too_many_arguments)]
     fn finish_adoption(
         &mut self,
-        spec: &TenantSpec,
-        identity: u64,
         snap: &TenantSnapshot,
         min_counter: u64,
-        phase: MigratePhase,
-        rebuild_start: u64,
         local: usize,
     ) -> HostResult<()> {
-        self.phase_guard(&spec.name, phase, rebuild_start)?;
+        let spec = &snap.state.spec;
+        let identity = spec.identity(local) as u64;
 
         // NEREPORT-gated adoption: the rebuilt chain must prove itself
         // before any sealed state (or later, traffic) lands. The epoch's
         // top bit keeps adoption nonces disjoint from the per-slot
         // attestation epochs.
-        let Some(core) = self.idle_core() else {
-            return Err(HostError::Sgx(SgxError::GeneralProtection(
-                "no serving core out of enclave mode for attestation".into(),
-            )));
-        };
-        let gate = spec.gate_name();
-        for &kind in &spec.services {
-            let svc = service_enclave_name(&spec.name, kind);
-            let nonce = HostServer::attest_nonce(
-                self.seed,
-                identity,
-                kind as u64,
-                (1 << 63) | snap.seal_counter,
-            );
-            if let Err(e) = attest_chain(&mut self.app, core, &gate, &svc, &nonce) {
-                return Err(match e {
-                    AttestError::Sgx(source) => HostError::Sgx(source),
-                    refusal => HostError::SealedState {
-                        tenant: spec.name.clone(),
-                        reason: format!("attestation refused: {refusal}"),
-                    },
-                });
-            }
+        let core = self.idle_core("attestation")?;
+        let epoch = (1 << 63) | snap.seal_counter;
+        if let Err(e) = self.attest_services(core, spec, identity, epoch) {
+            return Err(match e {
+                AttestError::Sgx(source) => HostError::Sgx(source),
+                refusal => HostError::SealedState {
+                    tenant: spec.name.clone(),
+                    reason: format!("attestation refused: {refusal}"),
+                },
+            });
         }
 
         // Resume: hand each blob back through the service's restore
@@ -575,11 +406,7 @@ impl HostServer {
         for (kind, blob) in &snap.sealed {
             let name = service_enclave_name(&spec.name, *kind);
             let args = encode_restore_args(identity, min_counter, blob);
-            let Some(core) = self.idle_core() else {
-                return Err(HostError::Sgx(SgxError::GeneralProtection(
-                    "no serving core out of enclave mode for restore".into(),
-                )));
-            };
+            let core = self.idle_core("restore")?;
             let reply = self.app.ecall(core, &name, "restore", &args)?;
             match decode_restore_reply(&reply) {
                 Some(RestoreOutcome::Ok { .. }) => {}
@@ -628,6 +455,7 @@ mod tests {
     use crate::admission::Admission;
     use crate::server::HostConfig;
     use crate::service::RequestFactory;
+    use ne_sgx::fault::FaultPlan;
 
     fn specs(n: usize, services: &[ServiceKind]) -> Vec<TenantSpec> {
         (0..n)
@@ -681,13 +509,16 @@ mod tests {
 
         let snap = server.extract_tenant(0).unwrap();
         assert_eq!(snap.seal_counter, 1);
-        assert_eq!(snap.completed, 4);
+        assert_eq!(snap.state.completed, 4);
         assert!(!server.tenants()[0].loaded, "source slot is a dead stub");
         assert_eq!(server.tenants()[0].accepted, 0, "counters travel, not stay");
 
         let local = server.adopt_tenant(&snap, snap.seal_counter).unwrap();
         assert_eq!(local, 2);
-        assert!(server.attested(local), "adoption re-proved the chain");
+        assert!(
+            server.tenants()[local].attested,
+            "adoption re-proved the chain"
+        );
         let a2 = run_segment(&mut server, &[local, 1], &mut factories, 4);
         assert_eq!(a2, 8);
         let migrated = replies_for(&server, local);
@@ -730,8 +561,8 @@ mod tests {
         // Mid-migration: the queue is parked into the snapshot, not lost.
         let snap = server.extract_tenant(0).unwrap();
         assert_eq!(snap.parked.len(), 5);
-        assert_eq!(snap.accepted, 5);
-        assert_eq!(snap.completed, 0);
+        assert_eq!(snap.state.accepted, 5);
+        assert_eq!(snap.state.completed, 0);
         let local = server.adopt_tenant(&snap, snap.seal_counter).unwrap();
         assert_eq!(server.pending(), 5, "parked requests re-queued at resume");
         server.drain().unwrap();
@@ -751,7 +582,7 @@ mod tests {
         }
         let snap = server.extract_tenant(0).unwrap();
         assert_eq!(snap.parked.len(), 2, "bounded park buffer");
-        assert_eq!(snap.shed_requests, 3, "overflow shed, counted");
+        assert_eq!(snap.state.shed_requests, 3, "overflow shed, counted");
         assert!(
             server
                 .recovery_events()
@@ -833,12 +664,12 @@ mod tests {
     fn unattested_tenant_is_refused_admission() {
         let mut server =
             HostServer::build(HostConfig::new(specs(1, &[ServiceKind::TlsEcho]))).unwrap();
-        assert!(server.attested(0), "build attests loaded tenants");
+        assert!(server.tenants()[0].attested, "build attests loaded tenants");
         // Break the chain: tear the inner service down behind the host's
         // back and invalidate the verdict, as a respawn would.
         let svc = service_enclave_name("t0", ServiceKind::TlsEcho);
         server.app.unload(&svc).unwrap();
-        server.attested[0] = false;
+        server.tenants[0].attested = false;
         let mut f = RequestFactory::new(ServiceKind::TlsEcho, 0, 7);
         assert_eq!(
             server.submit(0, 0, 0, f.next_request()),
@@ -846,9 +677,80 @@ mod tests {
             "no verified chain, no traffic"
         );
         assert_eq!(
-            server.attest_failures(0).values().sum::<u64>(),
+            server.tenants()[0].attest_failures.values().sum::<u64>(),
             1,
             "the refusal reason was counted"
         );
+    }
+
+    #[test]
+    fn per_tenant_state_survives_a_double_migration() {
+        let mut server =
+            HostServer::build(HostConfig::new(specs(2, &[ServiceKind::TlsEcho]))).unwrap();
+        let mut factories = vec![
+            RequestFactory::new(ServiceKind::TlsEcho, 0, 7),
+            RequestFactory::new(ServiceKind::TlsEcho, 1, 7),
+        ];
+        // A respawn: crash chaos confined to tenant 0's enclaves.
+        let plan = FaultPlan::parse("crash:3", 7).unwrap();
+        server.install_chaos_for_tenant(plan, 0).unwrap();
+        run_segment(&mut server, &[0, 1], &mut factories, 6);
+        server.app.machine.clear_chaos();
+        // An attestation refusal: the chain breaks behind the host's
+        // back, the next submission is refused and counted, then the
+        // enclaves are rebuilt and the chain re-proven.
+        let spec = server.tenants()[0].spec.clone();
+        server.teardown_enclaves(&spec);
+        server.tenants[0].attested = false;
+        assert_eq!(
+            server.submit(0, 0, 0, Vec::new()),
+            Admission::RejectedUnattested
+        );
+        server.load_tenant(&spec, 0).unwrap();
+        server.attest_tenant(0).unwrap();
+        run_segment(&mut server, &[0, 1], &mut factories, 2);
+
+        let before = server.tenants()[0].clone();
+        assert!(before.recovery.respawns > 0, "the crash chaos respawned");
+        assert!(before.attest_failures.values().sum::<u64>() > 0);
+        assert!(before.next_seq > 0 && before.completed > 0);
+
+        let first = server.extract_tenant(0).unwrap();
+        let mid = server.adopt_tenant(&first, first.seal_counter).unwrap();
+        let second = server.extract_tenant(mid).unwrap();
+        let local = server.adopt_tenant(&second, second.seal_counter).unwrap();
+        assert_eq!((first.seal_counter, second.seal_counter), (1, 2));
+
+        let after = &server.tenants()[local];
+        assert_eq!(after.seal_counter, 2);
+        assert_eq!(after.recovery.respawns, before.recovery.respawns);
+        assert_eq!(after.attest_failures, before.attest_failures);
+        assert_eq!(after.next_seq, before.next_seq);
+        assert_eq!(after.last_completed_seq, before.last_completed_seq);
+        assert_eq!(
+            [
+                after.accepted,
+                after.rejected_full,
+                after.rejected_shed,
+                after.completed,
+                after.shed_requests,
+            ],
+            [
+                before.accepted,
+                before.rejected_full,
+                before.rejected_shed,
+                before.completed,
+                before.shed_requests,
+            ]
+        );
+        for name in after.spec.enclave_names() {
+            let eid = server.app.eid(&name).unwrap();
+            assert_eq!(server.eid_owner(eid.0), Some(local), "{name}");
+        }
+        // The stubs left behind report nothing.
+        assert!(server.tenants()[..local]
+            .iter()
+            .filter(|t| t.spec.name == "t0")
+            .all(|t| !t.loaded && t.accepted == 0 && t.recovery.respawns == 0));
     }
 }

@@ -293,7 +293,7 @@ pub struct RecoveryEvent {
 }
 
 /// Per-tenant recovery bookkeeping: respawn history and breaker state.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryState {
     /// Cycle timestamps of recent respawns, oldest first, pruned to the
     /// breaker window.

@@ -41,7 +41,7 @@ use crate::admission::{Admission, AdmissionControl};
 use crate::error::{HostError, HostResult};
 use crate::recovery::{
     backoff_cycles, classify, RecoveryAction, RecoveryEvent, RecoveryEventKind, RecoveryPolicy,
-    RecoveryState, ShedReason,
+    ShedReason,
 };
 use crate::scheduler::{Scheduler, SchedulerStats};
 use crate::service::{install_service, service_enclave_name, ServiceKind};
@@ -179,7 +179,6 @@ pub struct HostServer {
     pub(crate) completions: Vec<Completion>,
     pub(crate) seed: u64,
     pub(crate) policy: RecoveryPolicy,
-    pub(crate) recovery: Vec<RecoveryState>,
     /// Shared with every gate closure; respawned gates reuse it.
     pub(crate) switchless_handle: Arc<Mutex<Option<SwitchlessQueue>>>,
     /// Switchless→classic reply degradations, counted from inside the
@@ -192,26 +191,9 @@ pub struct HostServer {
     /// for a tenant (respawned-away ids stay mapped so late-arriving
     /// chaos events still attribute). Never cleared.
     pub(crate) eid_owner: BTreeMap<u64, usize>,
-    /// Per-tenant "breaker-open already logged" latch, so the event log
-    /// carries exactly one [`RecoveryEventKind::BreakerOpen`] per trip.
-    pub(crate) breaker_logged: Vec<bool>,
-    /// Per-tenant NEREPORT admission verdict: true once every (gate,
-    /// service) pair has a verified attestation chain. Cleared whenever a
-    /// tenant enclave is respawned — a rebuilt enclave is a new instance
-    /// and must re-prove its chain before new traffic is admitted.
-    pub(crate) attested: Vec<bool>,
-    /// Per-tenant typed attestation refusal counts, keyed by
-    /// [`AttestError::name`].
-    pub(crate) attest_failures: Vec<BTreeMap<&'static str, u64>>,
-    /// Per-tenant attestation epochs (bumped per chain attempt, so every
-    /// challenge nonce is fresh).
-    pub(crate) attest_epoch: Vec<u64>,
-    /// Per-tenant monotonic sealed-state counters: the counter the last
-    /// seal was stamped with, and the floor a restore must meet.
-    pub(crate) seal_counters: Vec<u64>,
 }
 
-pub(crate) fn gate_image(name: &str) -> EnclaveImage {
+fn gate_image(name: &str) -> EnclaveImage {
     EnclaveImage::new(name, b"host-gateway")
         .code_pages(8)
         .heap_pages(4)
@@ -222,7 +204,7 @@ pub(crate) fn gate_image(name: &str) -> EnclaveImage {
 /// the inner service, push the reply out (switchless when available,
 /// degrading to a classic exit-based ocall when the reply core is inside
 /// an injected stall window).
-pub(crate) fn gate_dispatch(
+fn gate_dispatch(
     services: Vec<String>,
     switchless: Arc<Mutex<Option<SwitchlessQueue>>>,
     degraded: Arc<AtomicU64>,
@@ -281,110 +263,58 @@ impl HostServer {
     /// Loader failures other than the anticipated EPC exhaustion.
     pub fn build(cfg: HostConfig) -> HostResult<HostServer> {
         let mut app = NestedApp::new(cfg.hw.clone());
-        let degraded_replies = Arc::new(AtomicU64::new(0));
         let net_reply: UntrustedFn = Arc::new(|cx, _args| {
             cx.charge(NET_REPLY_CYCLES);
             Ok(Vec::new())
         });
         app.register_untrusted("net_reply", net_reply);
-
-        let switchless_handle: Arc<Mutex<Option<SwitchlessQueue>>> = Arc::new(Mutex::new(None));
-        let mut order: Vec<usize> = (0..cfg.tenants.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(cfg.tenants[i].priority));
-        let mut loaded = vec![false; cfg.tenants.len()];
-        for &i in &order {
-            let spec = &cfg.tenants[i];
-            let need = tenant_epc_pages(spec);
-            if (app.machine.free_epc_pages() as u64) < need + cfg.admission.epc_low_water {
-                // Shed at birth: graceful degradation instead of loading a
-                // working set that would thrash EWB/ELDU.
-                continue;
-            }
-            let names: Vec<String> = spec
-                .services
-                .iter()
-                .map(|&k| service_enclave_name(&spec.name, k))
-                .collect();
-            app.load(
-                gate_image(&spec.gate_name()),
-                [(
-                    "dispatch".to_string(),
-                    gate_dispatch(names, switchless_handle.clone(), degraded_replies.clone()),
-                )],
-            )?;
-            let gate_name = spec.gate_name();
-            // Seed per-service state by the spec's pinned identity when it
-            // has one (the sharded cluster pins the global tenant id), by
-            // list position otherwise — the historic unsharded behavior.
-            let seed_index = spec.seed_index.unwrap_or(i);
-            for &kind in &spec.services {
-                install_service(&mut app, &spec.name, &gate_name, seed_index, kind, cfg.seed)?;
-            }
-            loaded[i] = true;
-        }
-
         let num_cores = app.machine.num_cores();
         let worker_core = (cfg.switchless && num_cores >= 2).then(|| num_cores - 1);
-        if let Some(w) = worker_core {
-            let q = app.untrusted(0, |cx| {
-                SwitchlessQueue::create(cx, cfg.switchless_capacity, w)
-            });
-            *switchless_handle
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some(q);
-        }
         let serving: Vec<usize> = (0..num_cores).filter(|c| Some(*c) != worker_core).collect();
-
-        let tenants: Vec<TenantState> = cfg
-            .tenants
-            .into_iter()
-            .zip(loaded)
-            .map(|(spec, ok)| TenantState::new(spec, ok))
-            .collect();
-        let sched = Scheduler::new(serving, tenants.len());
-        let recovery = tenants.iter().map(|_| RecoveryState::default()).collect();
-        // Map every built enclave (gate and services) to its owner, so
-        // machine-side chaos events can be attributed to tenants.
-        let mut eid_owner = BTreeMap::new();
-        for (i, t) in tenants.iter().enumerate() {
-            if !t.loaded {
-                continue;
-            }
-            let mut names = vec![t.spec.gate_name()];
-            names.extend(
-                t.spec
-                    .services
-                    .iter()
-                    .map(|&k| service_enclave_name(&t.spec.name, k)),
-            );
-            for name in names {
-                if let Ok(eid) = app.eid(&name) {
-                    eid_owner.insert(eid.0, i);
-                }
-            }
-        }
-        let breaker_logged = vec![false; tenants.len()];
-        let n = tenants.len();
+        let n = cfg.tenants.len();
         let mut server = HostServer {
             app,
-            tenants,
-            sched,
+            tenants: cfg
+                .tenants
+                .into_iter()
+                .map(|spec| TenantState::new(spec, false))
+                .collect(),
+            sched: Scheduler::new(serving, n),
             admission: cfg.admission,
             worker_core,
             completions: Vec::new(),
             seed: cfg.seed,
             policy: cfg.recovery,
-            recovery,
-            switchless_handle,
-            degraded_replies,
+            switchless_handle: Arc::new(Mutex::new(None)),
+            degraded_replies: Arc::new(AtomicU64::new(0)),
             events: Vec::new(),
-            eid_owner,
-            breaker_logged,
-            attested: vec![false; n],
-            attest_failures: vec![BTreeMap::new(); n],
-            attest_epoch: vec![0; n],
-            seal_counters: vec![0; n],
+            eid_owner: BTreeMap::new(),
         };
+
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(server.tenants[i].spec.priority));
+        for i in order {
+            let spec = server.tenants[i].spec.clone();
+            let need = tenant_epc_pages(&spec);
+            if (server.app.machine.free_epc_pages() as u64) < need + server.admission.epc_low_water
+            {
+                // Shed at birth: graceful degradation instead of loading a
+                // working set that would thrash EWB/ELDU.
+                continue;
+            }
+            server.load_tenant(&spec, i)?;
+            server.tenants[i] = TenantState::new(spec, true);
+        }
+
+        if let Some(w) = worker_core {
+            let q = server.app.untrusted(0, |cx| {
+                SwitchlessQueue::create(cx, cfg.switchless_capacity, w)
+            });
+            *server
+                .switchless_handle
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) = Some(q);
+        }
         // NEREPORT-gated admission: every loaded tenant must prove its
         // attestation chain before the front door opens for it. A clean
         // build attests everything; a refusal leaves the tenant
@@ -398,8 +328,55 @@ impl HostServer {
         Ok(server)
     }
 
+    /// Loads the tenant's gate enclave with its `dispatch` body, which
+    /// routes to `spec`'s services.
+    fn load_gate(&mut self, spec: &TenantSpec) -> Result<EnclaveId, SgxError> {
+        let mut names = spec.enclave_names();
+        let gate = names.remove(0);
+        let dispatch = gate_dispatch(
+            names,
+            self.switchless_handle.clone(),
+            self.degraded_replies.clone(),
+        );
+        self.app
+            .load(gate_image(&gate), [("dispatch".to_string(), dispatch)])
+    }
+
+    /// The one enclave loader: builds `spec`'s gate, then every service
+    /// (seeded by the spec's identity at list position `owner`), and maps
+    /// every built eid to `owner`. A partial build is torn down before the
+    /// error returns.
+    pub(crate) fn load_tenant(&mut self, spec: &TenantSpec, owner: usize) -> Result<(), SgxError> {
+        let (gate, identity) = (spec.gate_name(), spec.identity(owner));
+        let result = self.load_gate(spec).and_then(|_| {
+            spec.services.iter().try_for_each(|&kind| {
+                install_service(&mut self.app, &spec.name, &gate, identity, kind, self.seed)
+            })
+        });
+        if let Err(e) = result {
+            self.teardown_enclaves(spec);
+            return Err(e);
+        }
+        for name in spec.enclave_names() {
+            if let Ok(eid) = self.app.eid(&name) {
+                self.eid_owner.insert(eid.0, owner);
+            }
+        }
+        Ok(())
+    }
+
+    /// Unloads whatever subset of the spec's enclaves exists, services
+    /// first, ignoring errors (cleanup of a partial build).
+    pub(crate) fn teardown_enclaves(&mut self, spec: &TenantSpec) {
+        for name in spec.enclave_names().iter().rev() {
+            if self.app.eid(name).is_ok() {
+                let _ = self.app.unload(name);
+            }
+        }
+    }
+
     /// Deterministic 32-byte attestation challenge for one chain attempt.
-    pub(crate) fn attest_nonce(seed: u64, identity: u64, kind: u64, epoch: u64) -> [u8; 32] {
+    fn attest_nonce(seed: u64, identity: u64, kind: u64, epoch: u64) -> [u8; 32] {
         let mut n = [0u8; 32];
         n[..8]
             .copy_from_slice(&(seed ^ identity.wrapping_mul(0x9E37_79B9_7F4A_7C15)).to_le_bytes());
@@ -411,20 +388,47 @@ impl HostServer {
 
     /// A serving core currently out of enclave mode (attestation and
     /// lifecycle ecalls must start from untrusted context).
-    pub(crate) fn idle_core(&self) -> Option<usize> {
+    ///
+    /// # Errors
+    ///
+    /// A general-protection fault naming `purpose` when every serving
+    /// core is inside an enclave.
+    pub(crate) fn idle_core(&self, purpose: &str) -> Result<usize, SgxError> {
         self.sched
             .cores()
             .iter()
             .copied()
             .find(|&c| self.app.machine.current_enclave(c).is_none())
+            .ok_or_else(|| {
+                SgxError::GeneralProtection(format!(
+                    "no serving core out of enclave mode for {purpose}"
+                ))
+            })
+    }
+
+    /// Runs the § IV-E NEREPORT chain on `core` for every (gate, service)
+    /// pair of `spec`, in spec order, with nonces drawn from `epoch`.
+    pub(crate) fn attest_services(
+        &mut self,
+        core: usize,
+        spec: &TenantSpec,
+        identity: u64,
+        epoch: u64,
+    ) -> Result<(), AttestError> {
+        let gate = spec.gate_name();
+        spec.services.iter().try_for_each(|&kind| {
+            let svc = service_enclave_name(&spec.name, kind);
+            let nonce = Self::attest_nonce(self.seed, identity, kind as u64, epoch);
+            attest_chain(&mut self.app, core, &gate, &svc, &nonce).map(|_| ())
+        })
     }
 
     /// Drives the § IV-E NEREPORT admission chain for every (gate,
     /// service) pair of `tenant`: the inner enclave reports, the gate
     /// verifies MAC, nonce echo, live measurement, and the NASSO
     /// outer-relation. Success marks the tenant attested; the first broken
-    /// link leaves it unattested with the typed refusal reason counted
-    /// (see [`HostServer::attest_failures`]).
+    /// link leaves it unattested with the typed refusal reason counted in
+    /// [`TenantState::attest_failures`].
     ///
     /// # Errors
     ///
@@ -435,44 +439,18 @@ impl HostServer {
                 "no loaded tenant at index {tenant}"
             ))));
         }
-        let Some(core) = self.idle_core() else {
-            return Err(AttestError::Sgx(SgxError::GeneralProtection(
-                "no serving core out of enclave mode for attestation".into(),
-            )));
-        };
-        self.attest_epoch[tenant] += 1;
-        let epoch = self.attest_epoch[tenant];
-        let spec = self.tenants[tenant].spec.clone();
-        let identity = spec.seed_index.unwrap_or(tenant) as u64;
-        let gate = spec.gate_name();
-        let result = spec.services.iter().try_for_each(|&kind| {
-            let svc = service_enclave_name(&spec.name, kind);
-            let nonce = Self::attest_nonce(self.seed, identity, kind as u64, epoch);
-            attest_chain(&mut self.app, core, &gate, &svc, &nonce).map(|_| ())
-        });
-        match result {
-            Ok(()) => {
-                self.attested[tenant] = true;
-                Ok(())
-            }
-            Err(e) => {
-                self.attested[tenant] = false;
-                *self.attest_failures[tenant].entry(e.name()).or_insert(0) += 1;
-                Err(e)
-            }
+        let core = self.idle_core("attestation").map_err(AttestError::Sgx)?;
+        let t = &mut self.tenants[tenant];
+        t.attest_epoch += 1;
+        let (spec, epoch) = (t.spec.clone(), t.attest_epoch);
+        let identity = spec.identity(tenant) as u64;
+        let result = self.attest_services(core, &spec, identity, epoch);
+        let t = &mut self.tenants[tenant];
+        t.attested = result.is_ok();
+        if let Err(e) = &result {
+            *t.attest_failures.entry(e.name()).or_insert(0) += 1;
         }
-    }
-
-    /// Whether `tenant` currently holds a verified attestation chain.
-    pub fn attested(&self, tenant: usize) -> bool {
-        self.attested.get(tenant).copied().unwrap_or(false)
-    }
-
-    /// Typed attestation refusal counts for `tenant`, keyed by
-    /// [`AttestError::name`]. Empty for a tenant that never failed.
-    pub fn attest_failures(&self, tenant: usize) -> &BTreeMap<&'static str, u64> {
-        static EMPTY: BTreeMap<&'static str, u64> = BTreeMap::new();
-        self.attest_failures.get(tenant).unwrap_or(&EMPTY)
+        result
     }
 
     /// The reserved switchless worker core, when one is active.
@@ -488,11 +466,6 @@ impl HostServer {
     /// Completions recorded since the last reset, in completion order.
     pub fn completions(&self) -> &[Completion] {
         &self.completions
-    }
-
-    /// Scheduler counters.
-    pub fn sched_stats(&self) -> SchedulerStats {
-        self.sched.stats
     }
 
     /// Invariant violations observed so far (must stay zero).
@@ -546,7 +519,7 @@ impl HostServer {
         // their front door is already closed.
         if self.tenants[tenant].loaded
             && !self.tenants[tenant].shed
-            && !self.attested[tenant]
+            && !self.tenants[tenant].attested
             && self.attest_tenant(tenant).is_err()
         {
             return Admission::RejectedUnattested;
@@ -580,7 +553,7 @@ impl HostServer {
         let core = self.sched.cores()[slot];
         // Fail fast once the tenant's breaker is open: queued work is
         // shed explicitly instead of limping through rebuilds.
-        if self.recovery[req.tenant].breaker_open {
+        if self.tenants[req.tenant].recovery.breaker_open {
             self.tenants[req.tenant].shed_requests += 1;
             self.log_event(
                 core,
@@ -655,7 +628,7 @@ impl HostServer {
                                 // fast and keep its siblings running.
                                 self.trip_breaker(req.tenant);
                             }
-                            if self.recovery[req.tenant].breaker_open {
+                            if self.tenants[req.tenant].recovery.breaker_open {
                                 self.trip_breaker(req.tenant);
                                 self.tenants[req.tenant].shed_requests += 1;
                                 self.log_event(
@@ -749,23 +722,11 @@ impl HostServer {
     /// enclaves.
     fn reload_evicted(&mut self, tenant: usize) -> HostResult<usize> {
         let mut reloaded = 0;
-        for name in self.tenant_enclave_names(tenant) {
+        for name in self.tenants[tenant].spec.enclave_names() {
             let eid = self.app.eid(&name)?;
             reloaded += self.app.machine.reload_chaos_evicted(eid)?;
         }
         Ok(reloaded)
-    }
-
-    /// Gate-first list of the tenant's enclave names.
-    pub(crate) fn tenant_enclave_names(&self, tenant: usize) -> Vec<String> {
-        let spec = &self.tenants[tenant].spec;
-        let mut names = vec![spec.gate_name()];
-        names.extend(
-            spec.services
-                .iter()
-                .map(|&k| service_enclave_name(&spec.name, k)),
-        );
-        names
     }
 
     /// Respawns whichever of the tenant's enclaves `eid` names (the gate,
@@ -822,29 +783,13 @@ impl HostServer {
 
     fn rebuild_gate(&mut self, tenant: usize) -> Result<(), SgxError> {
         let spec = self.tenants[tenant].spec.clone();
-        let gate_name = spec.gate_name();
-        let names: Vec<String> = spec
-            .services
-            .iter()
-            .map(|&k| service_enclave_name(&spec.name, k))
-            .collect();
-        let old = self.app.unload(&gate_name)?;
-        self.app.load(
-            gate_image(&gate_name),
-            [(
-                "dispatch".to_string(),
-                gate_dispatch(
-                    names.clone(),
-                    self.switchless_handle.clone(),
-                    self.degraded_replies.clone(),
-                ),
-            )],
-        )?;
-        let new = self.app.eid(&gate_name)?;
+        let names = spec.enclave_names();
+        let old = self.app.unload(&names[0])?;
+        let new = self.load_gate(&spec)?;
         self.eid_owner.insert(new.0, tenant);
         self.app.machine.chaos_retarget(old, new);
-        for name in &names {
-            self.app.associate(name, &gate_name)?;
+        for name in &names[1..] {
+            self.app.associate(name, &names[0])?;
         }
         Ok(())
     }
@@ -855,11 +800,12 @@ impl HostServer {
         let old = self.app.unload(&name)?;
         // Same seeding identity as the original install, so a respawned
         // service regenerates exactly the state that was lost.
+        let identity = spec.identity(tenant);
         install_service(
             &mut self.app,
             &spec.name,
             &spec.gate_name(),
-            spec.seed_index.unwrap_or(tenant),
+            identity,
             kind,
             self.seed,
         )?;
@@ -875,8 +821,9 @@ impl HostServer {
     /// the next submission) before new traffic is admitted.
     fn note_respawn(&mut self, tenant: usize) {
         let now = self.now();
-        self.recovery[tenant].note_respawn(now, &self.policy);
-        self.attested[tenant] = false;
+        let t = &mut self.tenants[tenant];
+        t.recovery.note_respawn(now, &self.policy);
+        t.attested = false;
     }
 
     fn respawn_failed(&self, tenant: usize, source: SgxError) -> HostError {
@@ -889,27 +836,13 @@ impl HostServer {
     /// Opens the tenant's breaker: sheds the tenant at admission and
     /// converts its queued requests into explicit sheds. Idempotent.
     fn trip_breaker(&mut self, tenant: usize) {
-        self.recovery[tenant].breaker_open = true;
-        let now = self.now();
-        if !self.breaker_logged[tenant] {
-            self.breaker_logged[tenant] = true;
+        let t = &mut self.tenants[tenant];
+        t.recovery.breaker_open = true;
+        if !std::mem::replace(&mut t.breaker_logged, true) {
+            let now = self.now();
             self.log_event_at(now, tenant, RecoveryEventKind::BreakerOpen);
         }
-        let drained = {
-            let ts = &mut self.tenants[tenant];
-            ts.shed = true;
-            let n = ts.queue.len() as u64;
-            ts.shed_requests += n;
-            ts.queue.clear();
-            n
-        };
-        if drained > 0 {
-            self.log_event_at(
-                now,
-                tenant,
-                RecoveryEventKind::Shed(ShedReason::QueueDrained),
-            );
-        }
+        self.shed_queue(tenant, ShedReason::QueueDrained);
     }
 
     /// Sheds `tenant` at the front door: marks it shed at admission and
@@ -928,23 +861,22 @@ impl HostServer {
         if tenant >= self.tenants.len() {
             return 0;
         }
-        let now = self.now();
-        let drained = {
-            let ts = &mut self.tenants[tenant];
-            ts.shed = true;
-            let n = ts.queue.len() as u64;
-            ts.shed_requests += n;
-            ts.queue.clear();
-            n
-        };
-        if drained > 0 {
-            self.log_event_at(
-                now,
-                tenant,
-                RecoveryEventKind::Shed(ShedReason::ClientStalled),
-            );
+        self.shed_queue(tenant, ShedReason::ClientStalled)
+    }
+
+    /// Marks `tenant` shed and turns its queue into explicit sheds, logged
+    /// as one `reason` event when anything was queued. Returns the count.
+    fn shed_queue(&mut self, tenant: usize, reason: ShedReason) -> u64 {
+        let t = &mut self.tenants[tenant];
+        t.shed = true;
+        let n = t.queue.len() as u64;
+        t.shed_requests += n;
+        t.queue.clear();
+        if n > 0 {
+            let now = self.now();
+            self.log_event_at(now, tenant, RecoveryEventKind::Shed(reason));
         }
-        drained
+        n
     }
 
     /// Appends one recovery event stamped with `core`'s current cycle.
@@ -1011,13 +943,11 @@ impl HostServer {
             t.rejected_shed = 0;
             t.completed = 0;
             t.shed_requests = 0;
-        }
-        // The cycle clocks just reset, so respawn timestamps from before
-        // the window are meaningless; breaker latch state carries over
-        // (like shed state).
-        for r in &mut self.recovery {
-            r.respawn_times.clear();
-            r.respawns = 0;
+            // The cycle clocks just reset, so respawn timestamps from
+            // before the window are meaningless; breaker latch state
+            // carries over (like shed state).
+            t.recovery.respawn_times.clear();
+            t.recovery.respawns = 0;
         }
         self.degraded_replies.store(0, Ordering::Relaxed);
         self.events.clear();
@@ -1038,37 +968,21 @@ impl HostServer {
     ///
     /// [`HostError::BadRequest`] for an unknown or unloaded tenant.
     pub fn install_chaos_for_tenant(&mut self, plan: FaultPlan, tenant: usize) -> HostResult<()> {
-        let eids = self.tenant_eids(tenant)?;
-        self.app.machine.install_chaos(plan.target_eids(eids));
-        Ok(())
-    }
-
-    /// Raw enclave ids (gate first, then services) of one tenant.
-    ///
-    /// # Errors
-    ///
-    /// [`HostError::BadRequest`] for an unknown or unloaded tenant.
-    pub fn tenant_eids(&self, tenant: usize) -> HostResult<Vec<u64>> {
         if tenant >= self.tenants.len() || !self.tenants[tenant].loaded {
             return Err(HostError::BadRequest(format!(
                 "no loaded tenant at index {tenant}"
             )));
         }
-        self.tenant_enclave_names(tenant)
-            .iter()
-            .map(|n| Ok(self.app.eid(n)?.0))
-            .collect()
+        let names = self.tenants[tenant].spec.enclave_names();
+        let eids = names.iter().map(|n| Ok(self.app.eid(n)?.0));
+        let eids = eids.collect::<HostResult<Vec<u64>>>()?;
+        self.app.machine.install_chaos(plan.target_eids(eids));
+        Ok(())
     }
 
     /// Decision counters of the installed chaos plan, if any.
     pub fn chaos_stats(&self) -> Option<ChaosStats> {
         self.app.machine.chaos_stats()
-    }
-
-    /// Per-tenant recovery state (respawn history, breaker), in spec
-    /// order.
-    pub fn recovery_states(&self) -> &[RecoveryState] {
-        &self.recovery
     }
 
     /// Cycle-stamped recovery actions taken since the last measurement
@@ -1102,8 +1016,7 @@ impl HostServer {
             tenants: self
                 .tenants
                 .iter()
-                .zip(&self.recovery)
-                .map(|(t, r)| TenantReport {
+                .map(|t| TenantReport {
                     name: t.spec.name.clone(),
                     priority: t.spec.priority,
                     loaded: t.loaded,
@@ -1113,8 +1026,8 @@ impl HostServer {
                     rejected_shed: t.rejected_shed,
                     completed: t.completed,
                     shed_requests: t.shed_requests,
-                    respawns: r.respawns,
-                    breaker_open: r.breaker_open,
+                    respawns: t.recovery.respawns,
+                    breaker_open: t.recovery.breaker_open,
                 })
                 .collect(),
             sched: self.sched.stats,

@@ -2,12 +2,15 @@
 //!
 //! A tenant owns one outer "gate" enclave and one inner enclave per
 //! service (see [`crate::service`]). Requests wait in a bounded per-tenant
-//! FIFO between admission and dispatch; everything the admission
-//! controller and scheduler need to know about a tenant — priority, queue
-//! depth, shed state, acceptance counters — lives here.
+//! FIFO between admission and dispatch. [`TenantState`] is the one
+//! per-tenant record: everything the admission controller, scheduler,
+//! recovery layer, NEREPORT gate and migration machine know about a
+//! tenant — priority, queue, shed state, traffic counters, respawn
+//! history, attestation verdict, seal counter — lives in it.
 
-use crate::service::ServiceKind;
-use std::collections::VecDeque;
+use crate::recovery::RecoveryState;
+use crate::service::{service_enclave_name, ServiceKind};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Static description of one tenant.
 #[derive(Debug, Clone)]
@@ -60,6 +63,24 @@ impl TenantSpec {
     pub fn gate_name(&self) -> String {
         format!("{}::gate", self.name)
     }
+
+    /// The seeding identity of the tenant at list position `index`: the
+    /// pinned [`TenantSpec::seed_index`] when there is one (the sharded
+    /// cluster pins the global tenant id), else `index` — the historic
+    /// unsharded behavior. Service state, attestation nonces and seal
+    /// keys all derive from it.
+    pub fn identity(&self, index: usize) -> usize {
+        self.seed_index.unwrap_or(index)
+    }
+
+    /// The tenant's enclave names, gate first, then one per service in
+    /// spec order.
+    pub fn enclave_names(&self) -> Vec<String> {
+        let services = self.services.iter();
+        std::iter::once(self.gate_name())
+            .chain(services.map(|&k| service_enclave_name(&self.name, k)))
+            .collect()
+    }
 }
 
 /// One admitted request waiting for (or finished with) service.
@@ -104,8 +125,8 @@ pub struct Completion {
     pub reply: Vec<u8>,
 }
 
-/// Runtime state of one tenant.
-#[derive(Debug)]
+/// Runtime state of one tenant: the one per-tenant record.
+#[derive(Debug, Clone)]
 pub struct TenantState {
     /// The static spec.
     pub spec: TenantSpec,
@@ -136,6 +157,26 @@ pub struct TenantState {
     pub shed_requests: u64,
     /// Highest completed sequence number, for FIFO auditing.
     pub last_completed_seq: Option<u64>,
+    /// Respawn history and circuit-breaker state.
+    pub recovery: RecoveryState,
+    /// "Breaker-open already logged" latch, so the event log carries
+    /// exactly one [`crate::recovery::RecoveryEventKind::BreakerOpen`] per
+    /// trip.
+    pub breaker_logged: bool,
+    /// NEREPORT admission verdict: true once every (gate, service) pair
+    /// has a verified attestation chain. Cleared whenever a tenant enclave
+    /// is respawned — a rebuilt enclave is a new instance and must
+    /// re-prove its chain before new traffic is admitted.
+    pub attested: bool,
+    /// Typed attestation refusal counts, keyed by
+    /// [`ne_core::lifecycle::AttestError::name`].
+    pub attest_failures: BTreeMap<&'static str, u64>,
+    /// Attestation epoch, bumped per chain attempt so every challenge
+    /// nonce is fresh.
+    pub attest_epoch: u64,
+    /// Monotonic sealed-state counter: the counter the last seal was
+    /// stamped with, and the floor a restore must meet.
+    pub seal_counter: u64,
 }
 
 impl TenantState {
@@ -154,6 +195,12 @@ impl TenantState {
             completed: 0,
             shed_requests: 0,
             last_completed_seq: None,
+            recovery: RecoveryState::default(),
+            breaker_logged: false,
+            attested: false,
+            attest_failures: BTreeMap::new(),
+            attest_epoch: 0,
+            seal_counter: 0,
         }
     }
 
@@ -178,6 +225,8 @@ mod tests {
         let s = TenantSpec::new("t0", 3, vec![ServiceKind::Db]).queue_capacity(7);
         assert_eq!(s.queue_capacity, 7);
         assert_eq!(s.gate_name(), "t0::gate");
+        assert_eq!(s.enclave_names(), ["t0::gate", "t0::db"]);
+        assert_eq!((s.identity(4), s.seed_index(9).identity(4)), (4, 9));
     }
 
     #[test]

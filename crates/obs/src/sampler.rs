@@ -55,13 +55,12 @@ fn snap(server: &HostServer) -> Vec<TenantSnap> {
     server
         .tenants()
         .iter()
-        .zip(server.recovery_states())
-        .map(|(t, r)| TenantSnap {
+        .map(|t| TenantSnap {
             accepted: t.accepted,
             completed: t.completed,
             shed: t.shed_requests,
             rejected: t.rejected_full + t.rejected_shed,
-            respawns: r.respawns,
+            respawns: t.recovery.respawns,
         })
         .collect()
 }
@@ -254,7 +253,7 @@ impl Sampler {
             row.shed = c.shed - p.shed;
             row.rejected = c.rejected - p.rejected;
             row.respawns = c.respawns - p.respawns;
-            row.breaker_open = server.recovery_states()[l].breaker_open;
+            row.breaker_open = server.tenants()[l].recovery.breaker_open;
             rows.push(row);
         }
         self.prev_tenants = cur;
